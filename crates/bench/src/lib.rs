@@ -10,9 +10,6 @@
 //!   widths, the STT-Issue taint-unit lookup across PRF sizes, broadcast
 //!   queue drains at RTL vs. unbounded bandwidth, cache-hierarchy access
 //!   paths, and whole-core cycle throughput per scheme.
-//! * `scheduler` — the event-wheel scheduler against the reference
-//!   full-scan scheduler on representative workload profiles (the
-//!   microbenchmark twin of `BENCH_core.json`'s `inst_layout` section).
 //! * `figures` / `ablations` — end-to-end experiment-engine paths at
 //!   reduced trace lengths, so regressions in the figure pipeline show
 //!   up before a full `sb-experiments` run.

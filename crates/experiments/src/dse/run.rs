@@ -144,16 +144,6 @@ pub fn run_sweep(
         .collect();
     let simulated = AtomicUsize::new(0);
     let from_cache = AtomicUsize::new(0);
-    // Same progress contract as the grid runner: one event per settled
-    // point, failures emit nothing.
-    let settled = AtomicUsize::new(0);
-    let settle = |counter: &AtomicUsize| {
-        counter.fetch_add(1, Ordering::Relaxed);
-        let k = settled.fetch_add(1, Ordering::Relaxed) + 1;
-        if let Some(sink) = &opts.progress {
-            sink.report(k, jobs_n);
-        }
-    };
     let report = jobs::run_batch(&labels, &opts.policy, |ctx| {
         let k = ctx.index;
         let (i, r, b) = decompose(k);
@@ -163,7 +153,7 @@ pub fn run_sweep(
         if opts.resume {
             if let Some(store) = &opts.store {
                 if let Some(stats) = store.load(profile.name, run.ops, seed, fp) {
-                    settle(&from_cache);
+                    from_cache.fetch_add(1, Ordering::Relaxed);
                     return Ok(BenchResult::new(
                         profile.name,
                         stats.committed.get(),
@@ -181,7 +171,7 @@ pub fn run_sweep(
         }
         .with_threat_model(p.threat);
         let (row, stats) = run_scheme_cfg_cancellable(&p.config, scheme_cfg, profile, trace, ctx)?;
-        settle(&simulated);
+        simulated.fetch_add(1, Ordering::Relaxed);
         if let Some(store) = &opts.store {
             if let Ok(path) = store.save(profile.name, run.ops, seed, fp, &stats) {
                 if let Some(plan) = &opts.policy.faults {
@@ -239,7 +229,6 @@ mod tests {
                 policy: JobPolicy::default(),
                 resume: false,
                 store: Some(store.clone()),
-                progress: None,
             },
             store,
         )

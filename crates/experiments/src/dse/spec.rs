@@ -225,7 +225,7 @@ pub struct SweepSpec {
     replicates: usize,
 }
 
-pub(crate) fn base_config(name: &str) -> Option<CoreConfig> {
+fn base_config(name: &str) -> Option<CoreConfig> {
     match name {
         "small" => Some(CoreConfig::small()),
         "medium" => Some(CoreConfig::medium()),
@@ -246,7 +246,7 @@ fn scheme_key(scheme: Scheme) -> &'static str {
     }
 }
 
-pub(crate) fn scheme_from_key(key: &str) -> Option<Scheme> {
+fn scheme_from_key(key: &str) -> Option<Scheme> {
     Scheme::all().into_iter().find(|&s| scheme_key(s) == key)
 }
 

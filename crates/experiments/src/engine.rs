@@ -19,7 +19,6 @@ use sb_uarch::{Core, CoreConfig};
 use sb_workloads::{cached_generate, spec2017_profiles, WorkloadProfile};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 
 /// Safety valve: no benchmark may run longer than this many cycles.
 const MAX_CYCLES: u64 = 400_000_000;
@@ -316,36 +315,6 @@ impl GridResults {
     }
 }
 
-/// A progress observer for batch runs: called once per *settled* point
-/// (simulated or served from the stats store) with the running count and
-/// the batch total. Failed points emit no event — progress is monotone and
-/// the run report carries the failures.
-///
-/// This replaces direct printing inside the runners: the CLI stays silent
-/// during a run, while the `serve` daemon forwards each call as an
-/// `EVENT <id> point k/n` line to every client waiting on the job.
-#[derive(Clone)]
-pub struct ProgressSink(Arc<dyn Fn(usize, usize) + Send + Sync>);
-
-impl ProgressSink {
-    /// Wraps a callback receiving `(settled, total)`.
-    #[must_use]
-    pub fn new(f: impl Fn(usize, usize) + Send + Sync + 'static) -> Self {
-        ProgressSink(Arc::new(f))
-    }
-
-    /// Reports that `settled` of `total` points have produced results.
-    pub fn report(&self, settled: usize, total: usize) {
-        (self.0)(settled, total);
-    }
-}
-
-impl std::fmt::Debug for ProgressSink {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("ProgressSink")
-    }
-}
-
 /// Execution options for [`run_grid_with`].
 #[derive(Clone, Debug)]
 pub struct RunOptions {
@@ -357,8 +326,6 @@ pub struct RunOptions {
     pub resume: bool,
     /// The result store; `None` disables persistence entirely.
     pub store: Option<StatsStore>,
-    /// Called after every settled point; `None` runs silently.
-    pub progress: Option<ProgressSink>,
 }
 
 impl Default for RunOptions {
@@ -367,7 +334,6 @@ impl Default for RunOptions {
             policy: JobPolicy::default(),
             resume: false,
             store: StatsStore::from_env(),
-            progress: None,
         }
     }
 }
@@ -411,25 +377,12 @@ pub fn run_grid_with(
     spec: &RunSpec,
     opts: &RunOptions,
 ) -> (GridResults, RunReport) {
-    let points: Vec<(CoreConfig, Scheme)> = configs
+    // Config-major, then scheme, then benchmark: job `k` is point
+    // `k / profiles.len()`, benchmark `k % profiles.len()`.
+    let points: Vec<(&CoreConfig, Scheme)> = configs
         .iter()
-        .flat_map(|c| Scheme::all().into_iter().map(|s| (c.clone(), s)))
+        .flat_map(|c| Scheme::all().into_iter().map(move |s| (c, s)))
         .collect();
-    run_points_with(&points, spec, opts)
-}
-
-/// Runs an explicit list of `(config, scheme)` points — the grid runner's
-/// general form. [`run_grid_with`] is the full `configs × Scheme::all()`
-/// cross product; the `serve` daemon also runs single-suite jobs (one
-/// point) and client-selected subsets through this same entry, so every
-/// caller shares the memoization keys, the cancellation path, and the
-/// progress events.
-#[must_use]
-pub fn run_points_with(
-    points: &[(CoreConfig, Scheme)],
-    spec: &RunSpec,
-    opts: &RunOptions,
-) -> (GridResults, RunReport) {
     let profiles = spec2017_profiles();
     let jobs_n = points.len() * profiles.len();
     let labels: Vec<String> = (0..jobs_n)
@@ -466,26 +419,16 @@ pub fn run_points_with(
         .collect();
     let simulated = AtomicUsize::new(0);
     let from_cache = AtomicUsize::new(0);
-    // Failed points never settle, so progress is monotone but may end
-    // short of `jobs_n` on a degraded run.
-    let settled = AtomicUsize::new(0);
-    let settle = |counter: &AtomicUsize| {
-        counter.fetch_add(1, Ordering::Relaxed);
-        let k = settled.fetch_add(1, Ordering::Relaxed) + 1;
-        if let Some(sink) = &opts.progress {
-            sink.report(k, jobs_n);
-        }
-    };
     let report = jobs::run_batch(&labels, &opts.policy, |ctx| {
         let k = ctx.index;
-        let (config, scheme) = &points[k / profiles.len()];
+        let (config, scheme) = points[k / profiles.len()];
         let b = k % profiles.len();
         let profile = &profiles[b];
         let (seed, fp) = keys[k];
         if opts.resume {
             if let Some(store) = &opts.store {
                 if let Some(stats) = store.load(profile.name, spec.ops, seed, fp) {
-                    settle(&from_cache);
+                    from_cache.fetch_add(1, Ordering::Relaxed);
                     return Ok(BenchResult::new(
                         profile.name,
                         stats.committed.get(),
@@ -495,8 +438,8 @@ pub fn run_points_with(
             }
         }
         let trace = traces[b].get_or_init(|| bench_trace(profile, spec)).clone();
-        let (row, stats) = run_bench_cancellable(config, *scheme, profile, trace, ctx)?;
-        settle(&simulated);
+        let (row, stats) = run_bench_cancellable(config, scheme, profile, trace, ctx)?;
+        simulated.fetch_add(1, Ordering::Relaxed);
         if let Some(store) = &opts.store {
             // A failed save is a cache bypass, never a run failure.
             if let Ok(path) = store.save(profile.name, spec.ops, seed, fp, &stats) {
@@ -509,10 +452,9 @@ pub fn run_points_with(
         }
         Ok(row)
     });
-    // Unique config names in point order: a grid lists each config once
-    // even though it contributes one point per scheme.
+    // Unique config names in order: a repeated config is listed once.
     let mut config_names: Vec<String> = Vec::new();
-    for (config, _) in points {
+    for config in configs {
         if !config_names.iter().any(|n| n == config.name) {
             config_names.push(config.name.to_string());
         }
@@ -579,7 +521,6 @@ mod tests {
                 policy: JobPolicy::default(),
                 resume: false,
                 store: Some(store.clone()),
-                progress: None,
             },
             store,
         )
@@ -727,67 +668,10 @@ mod tests {
             policy: JobPolicy::default(),
             resume: true, // resume with no store is a clean no-op
             store: None,
-            progress: None,
         };
         let (grid, report) = run_grid_with(&[CoreConfig::small()], &tiny(), &opts);
         assert!(report.ok());
         assert_eq!((report.simulated, report.from_cache), (88, 0));
         assert!(grid.baseline_ipc("small").unwrap() > 0.0);
-    }
-
-    #[test]
-    fn single_point_run_covers_one_suite_and_reports_progress() {
-        let events: Arc<std::sync::Mutex<Vec<(usize, usize)>>> =
-            Arc::new(std::sync::Mutex::new(Vec::new()));
-        let sink = {
-            let events = Arc::clone(&events);
-            ProgressSink::new(move |k, n| events.lock().unwrap().push((k, n)))
-        };
-        let opts = RunOptions {
-            policy: JobPolicy::default(),
-            resume: false,
-            store: None,
-            progress: Some(sink),
-        };
-        let (grid, report) = run_points_with(&[(CoreConfig::small(), Scheme::Nda)], &tiny(), &opts);
-        assert!(report.ok());
-        assert_eq!((report.simulated, report.total), (22, 22));
-        assert_eq!(grid.configs(), ["small".to_string()]);
-        assert_eq!(grid.suite("small", Scheme::Nda).unwrap().len(), 22);
-        // The other schemes were never part of this run.
-        assert!(grid.suite("small", Scheme::Baseline).is_err());
-        // One event per settled point, every count 1..=22 exactly once.
-        let mut seen: Vec<(usize, usize)> = events.lock().unwrap().clone();
-        assert_eq!(seen.len(), 22);
-        assert!(seen.iter().all(|&(_, n)| n == 22));
-        seen.sort_unstable();
-        assert!(seen.iter().enumerate().all(|(i, &(k, _))| k == i + 1));
-    }
-
-    #[test]
-    fn grid_points_match_the_explicit_point_list() {
-        // run_grid_with is exactly run_points_with over configs × schemes:
-        // same suites, same config list, nothing extra.
-        let spec = tiny();
-        let opts = RunOptions {
-            policy: JobPolicy::default(),
-            resume: false,
-            store: None,
-            progress: None,
-        };
-        let points: Vec<(CoreConfig, Scheme)> = Scheme::all()
-            .into_iter()
-            .map(|s| (CoreConfig::small(), s))
-            .collect();
-        let (by_points, report) = run_points_with(&points, &spec, &opts);
-        assert!(report.ok());
-        let (by_grid, _) = run_grid_with(&[CoreConfig::small()], &spec, &opts);
-        assert_eq!(by_points.configs(), by_grid.configs());
-        for scheme in Scheme::all() {
-            assert_eq!(
-                by_points.suite("small", scheme).unwrap(),
-                by_grid.suite("small", scheme).unwrap()
-            );
-        }
     }
 }

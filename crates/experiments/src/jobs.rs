@@ -128,12 +128,6 @@ pub struct JobPolicy {
     pub backoff: Duration,
     /// Deterministic fault injection; `None` outside the test/CI harness.
     pub faults: Option<FaultPlan>,
-    /// External cancellation parent: when set, the batch's budget token is
-    /// chained under it, so cancelling this token stops every job in the
-    /// batch (queued jobs never start; running simulations park at their
-    /// next [`sb_uarch::cancel::CANCEL_POLL_CYCLES`] poll). This is how
-    /// the `serve` daemon's `CANCEL` verb reaches into `Core::run`.
-    pub cancel: Option<CancelToken>,
 }
 
 impl Default for JobPolicy {
@@ -145,7 +139,6 @@ impl Default for JobPolicy {
             max_attempts: 3,
             backoff: Duration::from_millis(25),
             faults: None,
-            cancel: None,
         }
     }
 }
@@ -244,7 +237,9 @@ fn run_one_job<T>(
             return (Err(JobFailure::Cancelled), attempt);
         }
         attempt += 1;
-        let deadline = policy.job_deadline.map(|d| Instant::now() + d);
+        let deadline = policy
+            .job_deadline
+            .and_then(|d| Instant::now().checked_add(d));
         let ctx = JobCtx {
             index,
             cancel: budget.child(deadline),
@@ -283,13 +278,14 @@ where
     T: Send,
     F: Fn(&JobCtx) -> Result<T, JobFailure> + Sync,
 {
-    let deadline = policy.run_budget.map(|b| Instant::now() + b);
-    let budget = match &policy.cancel {
-        Some(parent) => parent.child(deadline),
-        None => match deadline {
-            Some(d) => CancelToken::with_deadline(d),
-            None => CancelToken::new(),
-        },
+    // A deadline past the clock's representable future never fires:
+    // treat it as unbounded rather than overflowing `Instant`.
+    let budget = match policy
+        .run_budget
+        .and_then(|b| Instant::now().checked_add(b))
+    {
+        Some(deadline) => CancelToken::with_deadline(deadline),
+        None => CancelToken::new(),
     };
     let outcomes = pool::run_indexed_outcomes(labels.len(), policy.workers, |i| {
         run_one_job(i, policy, &budget, &f)
@@ -476,48 +472,68 @@ mod tests {
     }
 
     #[test]
-    fn external_cancel_token_stops_queued_jobs() {
-        // A pre-cancelled external parent behaves exactly like an
-        // exhausted budget: nothing starts, every job is Cancelled.
-        let token = CancelToken::new();
-        token.cancel();
+    fn expiring_budget_cancels_jobs_queued_behind_a_running_one() {
+        // One worker: job 0 runs until the budget expires under it; the
+        // jobs queued behind it see the expired budget and never start.
         let policy = JobPolicy {
-            cancel: Some(token),
+            workers: 1,
+            run_budget: Some(Duration::from_millis(10)),
             ..quick_policy()
         };
         let ran = AtomicU32::new(0);
-        let report = run_batch(&labels(4), &policy, |_| {
+        let report = run_batch(&labels(4), &policy, |ctx| -> Result<(), _> {
             ran.fetch_add(1, Ordering::Relaxed);
-            Ok(())
-        });
-        assert_eq!(ran.load(Ordering::Relaxed), 0);
-        assert!(report
-            .failures
-            .iter()
-            .all(|e| e.cause == JobFailure::Cancelled && e.attempts == 0));
-    }
-
-    #[test]
-    fn external_cancel_reaches_a_running_job() {
-        let token = CancelToken::new();
-        let policy = JobPolicy {
-            workers: 1,
-            cancel: Some(token.clone()),
-            ..quick_policy()
-        };
-        let canceller = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(10));
-            token.cancel();
-        });
-        let report = run_batch(&labels(1), &policy, |ctx| -> Result<(), _> {
             // Cooperative job body: poll the token like the core does.
             while !ctx.cancel.is_cancelled() {
                 std::thread::sleep(Duration::from_millis(1));
             }
             Err(ctx.interruption())
         });
-        canceller.join().unwrap();
-        assert_eq!(report.failures[0].cause, JobFailure::Cancelled);
+        assert_eq!(ran.load(Ordering::Relaxed), 1, "only job 0 starts");
+        assert_eq!(report.failures.len(), 4);
+        assert!(report
+            .failures
+            .iter()
+            .all(|e| e.cause == JobFailure::Cancelled));
+        assert_eq!(report.failures[0].attempts, 1);
+        assert!(report.failures[1..].iter().all(|e| e.attempts == 0));
+    }
+
+    #[test]
+    fn expiring_budget_beats_a_later_job_deadline() {
+        // Each running job's token is a child of the batch budget: when
+        // the budget expires first, the interruption classifies as the
+        // budget's (Cancelled), not the job's own deadline.
+        let policy = JobPolicy {
+            workers: 2,
+            job_deadline: Some(Duration::from_secs(60)),
+            run_budget: Some(Duration::from_millis(10)),
+            ..quick_policy()
+        };
+        let report = run_batch(&labels(2), &policy, |ctx| -> Result<(), _> {
+            while !ctx.cancel.is_cancelled() {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            Err(ctx.interruption())
+        });
+        assert_eq!(report.survivors(), 0);
+        assert!(report
+            .failures
+            .iter()
+            .all(|e| e.cause == JobFailure::Cancelled));
+    }
+
+    #[test]
+    fn unrepresentable_deadlines_are_unbounded() {
+        // Regression: `--run-budget 1e19` parsed to a valid Duration and
+        // then panicked adding it to `Instant::now()`.
+        let policy = JobPolicy {
+            job_deadline: Some(Duration::MAX),
+            run_budget: Some(Duration::MAX),
+            ..quick_policy()
+        };
+        let report = run_batch(&labels(3), &policy, |ctx| Ok(ctx.index));
+        assert!(report.ok(), "{}", report.render_failures());
     }
 
     #[test]

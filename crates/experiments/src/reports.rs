@@ -707,7 +707,6 @@ mod tests {
             policy: JobPolicy::default(),
             resume: false,
             store: None,
-            progress: None,
         };
         let (grid, report) = run_grid_with(configs, &RunSpec { ops, seed: 3 }, &opts);
         assert!(report.ok(), "{}", report.render_failures());

@@ -208,8 +208,9 @@ pub fn decode_stats(bytes: &[u8], expected_name: &str) -> Option<SimStats> {
 /// Every store carries shared hit/miss counters: [`StatsStore::load`]
 /// counts one hit per successful decode and one miss per absent or
 /// invalid entry. Clones share the counters (they are the same store), so
-/// a long-running process — the `serve` daemon's `METRICS` verb in
-/// particular — can report cache effectiveness across every job it ran.
+/// a caller holding one handle sees the hit ratio of every batch that ran
+/// on any clone of it — e.g. how much of a `--resume` run was served from
+/// the store.
 #[derive(Clone, Debug)]
 pub struct StatsStore {
     dir: PathBuf,
