@@ -10,7 +10,7 @@
 
 use super::run::SweepOutcome;
 use super::spec::{SpecError, SweepSpec};
-use crate::engine::RunSpec;
+use crate::engine::{check_ops, RunSpec};
 use crate::stats_store::{combine_fp, tag_fp};
 
 /// Manifest schema version; bump on incompatible changes.
@@ -148,8 +148,8 @@ pub fn parse_manifest(json: &str) -> Result<ManifestParams, String> {
     }
     let spec_str = find_string_field(json, "spec")?;
     let spec = SweepSpec::parse(&spec_str).map_err(|e: SpecError| format!("manifest spec: {e}"))?;
-    let ops = usize::try_from(find_u64_field(json, "ops")?)
-        .map_err(|_| "manifest \"ops\" overflows".to_string())?;
+    let raw_ops = find_u64_field(json, "ops")?;
+    let ops = check_ops(raw_ops).map_err(|e| format!("manifest \"ops\" {raw_ops}: {e}"))?;
     let seed = find_u64_field(json, "seed")?;
     let recorded = find_string_field(json, "sweep_fingerprint")?;
     let expected = format!("{:016x}", sweep_fingerprint(&spec, &RunSpec { ops, seed }));
@@ -166,7 +166,7 @@ pub fn parse_manifest(json: &str) -> Result<ManifestParams, String> {
 mod tests {
     use super::super::run::{point_fingerprint, PointResult};
     use super::*;
-    use crate::engine::RunReport;
+    use crate::engine::{RunReport, MAX_OPS};
     use sb_core::Scheme;
 
     fn outcome_of(spec: &SweepSpec) -> SweepOutcome {
@@ -280,6 +280,28 @@ mod tests {
         assert!(parse_manifest(&future).unwrap_err().contains("newer"));
         // Missing field.
         assert!(parse_manifest("{}").unwrap_err().contains("missing"));
+    }
+
+    #[test]
+    fn out_of_range_ops_are_rejected_even_with_a_matching_fingerprint() {
+        // Regression: the fingerprint is recomputable from the file, so a
+        // manifest edited to `"ops": 0` (or a huge value) and re-signed
+        // used to parse and then run an empty or unallocatable trace.
+        let spec = SweepSpec::parse("base=small").unwrap();
+        for ops in [0, MAX_OPS + 1] {
+            let run = RunSpec { ops, seed: 7 };
+            let err = parse_manifest(&manifest_json(&spec, &run, &outcome_of(&spec))).unwrap_err();
+            assert!(
+                err.contains("\"ops\"") && err.contains(&ops.to_string()),
+                "{err}"
+            );
+        }
+        let run = RunSpec {
+            ops: MAX_OPS,
+            seed: 7,
+        };
+        let json = manifest_json(&spec, &run, &outcome_of(&spec));
+        assert_eq!(parse_manifest(&json).unwrap().ops, MAX_OPS);
     }
 
     #[test]

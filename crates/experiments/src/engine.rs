@@ -41,6 +41,24 @@ impl Default for RunSpec {
     }
 }
 
+/// Longest accepted trace, in micro-ops per benchmark. A grid holds all
+/// 22 benchmark traces at once, so this keeps a run's traces near 1 GB
+/// and its cycle count well inside `MAX_CYCLES`.
+pub const MAX_OPS: usize = 1_000_000;
+
+/// Checks a trace length from any external input (`--ops`, a manifest's
+/// `"ops"`): it must be at least 1 and at most [`MAX_OPS`].
+///
+/// # Errors
+///
+/// The accepted range, for the caller to name its input in front of.
+pub fn check_ops(ops: u64) -> Result<usize, String> {
+    usize::try_from(ops)
+        .ok()
+        .filter(|n| (1..=MAX_OPS).contains(n))
+        .ok_or_else(|| format!("want 1 to {MAX_OPS} uops"))
+}
+
 /// Typed failure of a grid lookup or report computation — what used to be
 /// a `panic!` deep inside a report function and is now surfaced as a
 /// per-report failure by the CLI.
@@ -122,7 +140,7 @@ pub fn run_bench(
 /// The deterministic trace `run_bench` simulates for `profile` under
 /// `spec` (exposed so the grid can generate each benchmark's trace once
 /// and share it across every (config, scheme) point). Backed by the
-/// persistent trace store: repeated CLI invocations and benches load the
+/// persistent trace store: repeated CLI invocations load the
 /// serialized trace instead of regenerating (disable or redirect via
 /// [`sb_workloads::TRACE_CACHE_ENV`]). Caching cannot change results — the
 /// store validates checksums and falls back to regeneration, and the
@@ -478,24 +496,6 @@ pub fn run_grid_with(
         failures: report.failures,
     };
     (grid, run_report)
-}
-
-/// Runs the whole grid with default options (no resume, default policy,
-/// stats store from the environment).
-///
-/// # Panics
-///
-/// Panics if any grid job fails — callers that need partial results and a
-/// failure report use [`run_grid_with`].
-#[must_use]
-pub fn run_grid(configs: &[CoreConfig], spec: &RunSpec) -> GridResults {
-    let (grid, report) = run_grid_with(configs, spec, &RunOptions::default());
-    assert!(
-        report.ok(),
-        "grid run failed:\n{}",
-        report.render_failures()
-    );
-    grid
 }
 
 #[cfg(test)]

@@ -3,13 +3,12 @@
 //! figure of the paper's evaluation (§8).
 //!
 //! The binary (`sb-experiments`) is a thin CLI over this library; the
-//! criterion benches in `sb-bench` reuse the same entry points at reduced
-//! trace lengths.
+//! repository benchmark (`benchmark/`) drives the same entry points to
+//! time each layer.
 
 #![forbid(unsafe_code)]
 
 pub mod analyze;
-pub mod bench;
 pub mod dse;
 mod engine;
 pub mod faults;
@@ -26,8 +25,8 @@ pub use analyze::{
     static_matrix_report, ExtendedAudit, StaticCell, StaticVerdict,
 };
 pub use engine::{
-    bench_trace, run_bench, run_bench_on_trace, run_grid, run_grid_with, run_suite,
-    ExperimentError, GridResults, RunOptions, RunReport, RunSpec,
+    bench_trace, check_ops, run_bench, run_bench_on_trace, run_grid_with, run_suite,
+    ExperimentError, GridResults, RunOptions, RunReport, RunSpec, MAX_OPS,
 };
 pub use faults::{FaultPlan, FAULT_ENV};
 pub use jobs::{BatchReport, JobCtx, JobError, JobFailure, JobPolicy};

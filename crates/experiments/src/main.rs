@@ -1,11 +1,10 @@
-//! `sb-experiments`: regenerate every table and figure of the paper,
-//! benchmark the simulator itself, or verify the security property.
+//! `sb-experiments`: regenerate every table and figure of the paper, run
+//! a design-space sweep, or verify the security property.
 //!
 //! ```text
 //! sb-experiments [--ops N] [--seed S] [--out DIR] [--no-trace-cache] [--resume]
 //!                [--job-deadline SECS] [--run-budget SECS] [--inject-faults SPEC]
 //!                [EXPERIMENT...]
-//! sb-experiments bench [--ops N] [--seed S] [--bench-json PATH]
 //! sb-experiments verify-security [--out DIR] [--threat-model spectre|futuristic|both]
 //!                [--job-deadline SECS] [--run-budget SECS] [--inject-faults SPEC]
 //! sb-experiments analyze-security [--out DIR] [--threat-model spectre|futuristic|both]
@@ -19,6 +18,9 @@
 //! sec92 security` or `all` (default). CSVs land in `--out`
 //! (default `results/`). Unknown experiment names and malformed flag
 //! values are hard errors — a typo must never silently run the default.
+//! `--ops` takes 1 to [`sb_experiments::MAX_OPS`] micro-ops per
+//! benchmark trace. `--out` is created before anything is simulated, so
+//! an unusable directory fails at once (exit 2) instead of after the run.
 //!
 //! Workload traces are memoized on disk (default `target/trace-cache/`),
 //! so repeated invocations skip generation; `--no-trace-cache` disables
@@ -42,10 +44,6 @@
 //! panic@I,overrun@I,corrupt-stats@I` (or the `SB_FAULT_INJECT`
 //! environment variable; the flag wins) deterministically injects faults
 //! at job index I to exercise exactly that machinery.
-//!
-//! `bench` measures simulated-ops/sec for every (config × scheme) point on
-//! both schedulers plus full-grid wall clock, and writes `BENCH_core.json`
-//! (default path `BENCH_core.json`; override with `--bench-json`).
 //!
 //! `verify-security` runs the transient-leak attack battery (Spectre v1,
 //! v1 with prefetcher amplification, speculative store bypass, a
@@ -82,21 +80,20 @@
 //! byte for byte.
 
 use sb_core::{Scheme, ThreatModel};
-use sb_experiments::bench::{run_core_bench, BenchOptions};
 use sb_experiments::dse::{
     leaderboard, leaderboard_csv, leaderboard_table, manifest_json, parse_manifest, run_sweep,
     SweepSpec,
 };
 use sb_experiments::security::BATTERY_SECRET;
 use sb_experiments::{
-    analyze_battery, extended_claims_audit, fig10_report, fig1_table3_report, fig6_report,
-    fig7_report, fig8_report, fig9_report, perturb_battery_claim, run_grid_with, sec92_report,
-    security_matrix_report, security_report, static_matrix_report, table1_report, table4_report,
-    table5_report, verify_security_with, ExperimentError, FaultPlan, GridResults, JobPolicy,
-    Report, RunOptions, RunSpec,
+    analyze_battery, check_ops, extended_claims_audit, fig10_report, fig1_table3_report,
+    fig6_report, fig7_report, fig8_report, fig9_report, perturb_battery_claim, run_grid_with,
+    sec92_report, security_matrix_report, security_report, static_matrix_report, table1_report,
+    table4_report, table5_report, verify_security_with, ExperimentError, FaultPlan, GridResults,
+    JobPolicy, Report, RunOptions, RunSpec,
 };
 use sb_uarch::CoreConfig;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::str::FromStr;
 use std::time::Duration;
 
@@ -107,14 +104,13 @@ const EXPERIMENT_NAMES: &[&str] = &[
 ];
 
 /// Subcommands: run alone, with their own flag sets.
-const SUBCOMMANDS: &[&str] = &["bench", "verify-security", "analyze-security", "sweep"];
+const SUBCOMMANDS: &[&str] = &["verify-security", "analyze-security", "sweep"];
 
 const USAGE: &str =
     "usage: sb-experiments [--ops N] [--seed S] [--out DIR] [--no-trace-cache] [--resume]\n\
      \x20                     [--job-deadline SECS] [--run-budget SECS] [--inject-faults SPEC]\n\
      \x20                     [EXPERIMENT...]\n\
      experiments: table1 fig1 fig6 fig7 fig8 fig9 fig10 table3 table4 table5 sec92 security all\n\
-     or: sb-experiments bench [--ops N] [--seed S] [--bench-json PATH]\n\
      or: sb-experiments verify-security [--out DIR] [--threat-model spectre|futuristic|both]\n\
      \x20                     [--job-deadline SECS] [--run-budget SECS] [--inject-faults SPEC]\n\
      or: sb-experiments analyze-security [--out DIR] [--threat-model spectre|futuristic|both]\n\
@@ -123,6 +119,7 @@ const USAGE: &str =
      \x20                     [--ops N] [--seed S] [--no-trace-cache] [--resume]\n\
      \x20                     [--job-deadline SECS] [--run-budget SECS] [--inject-faults SPEC]\n\
      or: sb-experiments import FILE.sbtr [--scheme baseline|stt-rename|stt-issue|nda]\n\
+     --ops N: micro-ops per benchmark trace, 1 to 1000000 (default 60000)\n\
      sweep spec: key=value tokens — axes (rob width mem-ports iq lq sq phys-regs br-tags\n\
      \x20  l1-sets l1-ways l2-sets l2-ways l1-prefetch l2-prefetch) with comma lists or a..b[:step]\n\
      \x20  ranges, base=small|medium|large|mega|gem5-stt|gem5-nda, preset=boom|gem5,\n\
@@ -135,9 +132,7 @@ const USAGE: &str =
 #[derive(Debug)]
 struct Args {
     spec: RunSpec,
-    ops_overridden: bool,
     out: PathBuf,
-    bench_json: PathBuf,
     experiments: Vec<String>,
     threat_models: Vec<ThreatModel>,
     sweep_spec: Option<String>,
@@ -190,9 +185,7 @@ fn secs_value(flag: &str, value: Option<String>) -> Result<Duration, String> {
 
 fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
     let mut spec = RunSpec::default();
-    let mut ops_overridden = false;
     let mut out = PathBuf::from("results");
-    let mut bench_json = PathBuf::from("BENCH_core.json");
     let mut experiments = Vec::new();
     let mut threat_models = ThreatModel::all().to_vec();
     let mut sweep_spec = None;
@@ -211,11 +204,9 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--ops" => {
-                spec.ops = flag_value("--ops", it.next())?;
-                if spec.ops == 0 {
-                    return Err("invalid value for --ops: '0' (want at least 1 uop)".into());
-                }
-                ops_overridden = true;
+                let raw: u64 = flag_value("--ops", it.next())?;
+                spec.ops = check_ops(raw)
+                    .map_err(|e| format!("invalid value for --ops: '{raw}' ({e})"))?;
                 flags_given.push("--ops");
             }
             "--seed" => {
@@ -225,10 +216,6 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
             "--out" => {
                 out = PathBuf::from(it.next().ok_or("--out requires a value")?);
                 flags_given.push("--out");
-            }
-            "--bench-json" => {
-                bench_json = PathBuf::from(it.next().ok_or("--bench-json requires a value")?);
-                flags_given.push("--bench-json");
             }
             "--threat-model" => {
                 threat_models = parse_threat_models(it.next())?;
@@ -307,7 +294,7 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
     if experiments.is_empty() {
         experiments.push("all".to_string());
     }
-    // A subcommand runs alone and accepts only its own flags: `bench
+    // A subcommand runs alone and accepts only its own flags: `sweep
     // table1` would silently drop table1, and `verify-security --ops N`
     // would silently ignore --ops — both violate the same
     // no-silent-defaults contract as flag typos.
@@ -323,8 +310,6 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
             ));
         }
         let accepted: &[&str] = match sub {
-            // bench measures raw throughput: no job layer, no store.
-            "bench" => &["--ops", "--seed", "--bench-json"],
             // sweep has the full grid machinery: job layer, both caches,
             // resume — plus its own spec/manifest/top flags.
             "sweep" => &[
@@ -371,7 +356,6 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
     {
         for (flag, owner) in [
             ("--threat-model", "verify-security"),
-            ("--bench-json", "bench"),
             ("--spec", "sweep"),
             ("--from-manifest", "sweep"),
             ("--top", "sweep"),
@@ -422,9 +406,7 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
     }
     Ok(Args {
         spec,
-        ops_overridden,
         out,
-        bench_json,
         experiments,
         threat_models,
         sweep_spec,
@@ -457,23 +439,16 @@ fn job_policy(args: &Args) -> Result<JobPolicy, String> {
     })
 }
 
-/// The `bench` subcommand: core throughput + grid wall-clock comparison.
-fn run_bench_command(args: &Args) {
-    let mut opts = BenchOptions {
-        seed: args.spec.seed,
-        ..BenchOptions::default()
-    };
-    if args.ops_overridden {
-        opts.ops = args.spec.ops;
+/// Writes `(file name, contents)` pairs into `out`. A failed write ends
+/// the process with exit 1 and names the file; no output is silently lost.
+fn write_outputs(out: &Path, files: &[(String, String)]) {
+    for (name, contents) in files {
+        let path = out.join(name);
+        if let Err(e) = std::fs::write(&path, contents) {
+            eprintln!("error: cannot write {}: {e}", path.display());
+            std::process::exit(1);
+        }
     }
-    eprintln!(
-        "benchmarking core throughput: 4 configs x 4 schemes x {} uops (+ reference comparison)...",
-        opts.ops
-    );
-    let report = run_core_bench(&opts);
-    print!("{}", report.summary());
-    std::fs::write(&args.bench_json, report.to_json()).expect("write bench json");
-    eprintln!("wrote {}", args.bench_json.display());
 }
 
 /// The `verify-security` subcommand: leak matrix + hard verdict.
@@ -490,10 +465,7 @@ fn run_verify_security(args: &Args, policy: &JobPolicy) {
     let verdict = verify_security_with(&args.threat_models, policy);
     let report = security_matrix_report(&verdict);
     println!("{}", report.text);
-    std::fs::create_dir_all(&args.out).expect("create output dir");
-    for (name, csv) in &report.csv {
-        std::fs::write(args.out.join(name), csv).expect("write csv");
-    }
+    write_outputs(&args.out, &report.csv);
     eprintln!("CSV written to {}", args.out.display());
     if !verdict.ok {
         std::process::exit(1);
@@ -524,10 +496,7 @@ fn run_analyze_security(args: &Args) {
     let verdict = analyze_battery(&battery, &args.threat_models);
     let report = static_matrix_report(&verdict);
     println!("{}", report.text);
-    std::fs::create_dir_all(&args.out).expect("create output dir");
-    for (name, csv) in &report.csv {
-        std::fs::write(args.out.join(name), csv).expect("write csv");
-    }
+    write_outputs(&args.out, &report.csv);
     eprintln!("CSV written to {}", args.out.display());
     let mut ok = verdict.ok;
     if args.self_check {
@@ -618,14 +587,13 @@ fn run_sweep_command(args: &Args, policy: &JobPolicy) {
     }
     let rows = leaderboard(&outcome);
     println!("{}", leaderboard_table(&rows, args.top));
-    std::fs::create_dir_all(&args.out).expect("create output dir");
-    std::fs::write(args.out.join("leaderboard.csv"), leaderboard_csv(&rows))
-        .expect("write leaderboard csv");
-    std::fs::write(
-        args.out.join("manifest.json"),
-        manifest_json(&spec, &run, &outcome),
-    )
-    .expect("write manifest");
+    write_outputs(
+        &args.out,
+        &[
+            ("leaderboard.csv".into(), leaderboard_csv(&rows)),
+            ("manifest.json".into(), manifest_json(&spec, &run, &outcome)),
+        ],
+    );
     eprintln!(
         "leaderboard.csv and manifest.json written to {}",
         args.out.display()
@@ -721,9 +689,14 @@ fn main() {
             std::process::exit(2);
         }
     };
-    if args.experiments.iter().any(|e| e == "bench") {
-        run_bench_command(&args);
-        return;
+    // Create --out before any work, so an unusable directory is a usage
+    // error rather than a failure after the whole run.
+    if let Err(e) = std::fs::create_dir_all(&args.out) {
+        eprintln!(
+            "error: cannot create --out directory {}: {e}",
+            args.out.display()
+        );
+        std::process::exit(2);
     }
     if args.experiments.iter().any(|e| e == "verify-security") {
         run_verify_security(&args, &policy);
@@ -817,13 +790,9 @@ fn main() {
         push("security", Ok(security_report()));
     }
 
-    std::fs::create_dir_all(&args.out).expect("create output dir");
     for r in &reports {
         println!("{}\n", r.text);
-        for (name, csv) in &r.csv {
-            let path = args.out.join(name);
-            std::fs::write(&path, csv).expect("write csv");
-        }
+        write_outputs(&args.out, &r.csv);
     }
     eprintln!("CSV written to {}", args.out.display());
     for e in &report_errors {
@@ -847,7 +816,7 @@ mod tests {
     fn defaults_run_all_experiments() {
         let a = parse(&[]).unwrap();
         assert_eq!(a.experiments, vec!["all"]);
-        assert!(!a.ops_overridden);
+        assert_eq!(a.spec.ops, RunSpec::default().ops);
         assert_eq!(a.out, PathBuf::from("results"));
     }
 
@@ -855,7 +824,6 @@ mod tests {
     fn valid_flags_parse() {
         let a = parse(&["--ops", "5000", "--seed", "9", "--out", "/tmp/x", "table1"]).unwrap();
         assert_eq!(a.spec.ops, 5000);
-        assert!(a.ops_overridden);
         assert_eq!(a.spec.seed, 9);
         assert_eq!(a.out, PathBuf::from("/tmp/x"));
         assert_eq!(a.experiments, vec!["table1"]);
@@ -877,14 +845,23 @@ mod tests {
     }
 
     #[test]
-    fn zero_ops_is_rejected() {
-        // Regression: `table1 --ops 0` used to exit 0 with an IPC of
-        // 0.0000 on every config.
-        let err = parse(&["--ops", "0", "table1"]).unwrap_err();
-        assert!(err.contains("--ops") && err.contains("'0'"), "{err}");
-        assert!(parse(&["sweep", "--spec", "base=small", "--ops", "0"]).is_err());
-        assert!(parse(&["bench", "--ops", "0"]).is_err());
-        assert!(parse(&["--ops", "1"]).is_ok());
+    fn out_of_range_ops_are_rejected() {
+        // Regressions: `table1 --ops 0` used to exit 0 with an IPC of
+        // 0.0000 on every config, and `table4 --ops 18446744073709551615`
+        // used to parse, then panic with `capacity overflow`.
+        let max = sb_experiments::MAX_OPS;
+        for ops in ["0".to_string(), (max + 1).to_string(), u64::MAX.to_string()] {
+            let err = parse(&["--ops", &ops, "table4"]).unwrap_err();
+            assert!(
+                err.contains("--ops") && err.contains(&format!("'{ops}'")),
+                "{err}"
+            );
+            assert!(parse(&["sweep", "--spec", "base=small", "--ops", &ops]).is_err());
+        }
+        assert_eq!(parse(&["--ops", "1"]).unwrap().spec.ops, 1);
+        assert_eq!(parse(&["--ops", &max.to_string()]).unwrap().spec.ops, max);
+        // USAGE states the cap and the default as literals; keep them true.
+        assert!(USAGE.contains(&format!("1 to {max} (default {})", RunSpec::default().ops)));
     }
 
     #[test]
@@ -902,7 +879,7 @@ mod tests {
         let err = parse(&["tabel1"]).unwrap_err();
         assert!(err.contains("tabel1"), "{err}");
         assert!(err.contains("table1"), "suggests the valid names: {err}");
-        for word in ["serve", "submit"] {
+        for word in ["serve", "submit", "bench"] {
             let err = parse(&[word]).unwrap_err();
             assert!(err.contains("unknown experiment"), "{err}");
         }
@@ -924,7 +901,10 @@ mod tests {
 
     #[test]
     fn subcommands_are_recognized() {
-        assert_eq!(parse(&["bench"]).unwrap().experiments, vec!["bench"]);
+        assert_eq!(
+            parse(&["analyze-security"]).unwrap().experiments,
+            vec!["analyze-security"]
+        );
         assert_eq!(
             parse(&["verify-security"]).unwrap().experiments,
             vec!["verify-security"]
@@ -950,8 +930,8 @@ mod tests {
             err.contains("verify-security") && err.contains("table1"),
             "{err}"
         );
-        let err = parse(&["bench", "table1"]).unwrap_err();
-        assert!(err.contains("bench"), "{err}");
+        let err = parse(&["sweep", "--spec", "base=small", "table1"]).unwrap_err();
+        assert!(err.contains("sweep") && err.contains("table1"), "{err}");
     }
 
     #[test]
@@ -965,12 +945,15 @@ mod tests {
         );
         let err = parse(&["--seed", "7", "verify-security"]).unwrap_err();
         assert!(err.contains("--seed"), "{err}");
-        // bench writes --bench-json, not --out.
-        let err = parse(&["bench", "--out", "/tmp/x"]).unwrap_err();
-        assert!(err.contains("--out") && err.contains("bench"), "{err}");
+        // analyze-security simulates nothing, so no trace cache to skip.
+        let err = parse(&["analyze-security", "--no-trace-cache"]).unwrap_err();
+        assert!(
+            err.contains("--no-trace-cache") && err.contains("analyze-security"),
+            "{err}"
+        );
         // Each subcommand's own flags still parse.
         assert!(parse(&["verify-security", "--out", "/tmp/x"]).is_ok());
-        assert!(parse(&["bench", "--ops", "4000", "--bench-json", "/tmp/b.json"]).is_ok());
+        assert!(parse(&["analyze-security", "--out", "/tmp/x"]).is_ok());
     }
 
     #[test]
@@ -1070,9 +1053,9 @@ mod tests {
 
     #[test]
     fn threat_model_flag_is_rejected_outside_verify_security() {
-        let err = parse(&["bench", "--threat-model", "both"]).unwrap_err();
+        let err = parse(&["sweep", "--spec", "base=small", "--threat-model", "both"]).unwrap_err();
         assert!(
-            err.contains("--threat-model") && err.contains("bench"),
+            err.contains("--threat-model") && err.contains("sweep"),
             "{err}"
         );
         // Regression: plain experiment runs used to swallow the flag
@@ -1081,11 +1064,6 @@ mod tests {
         let err = parse(&["security", "--threat-model", "futuristic"]).unwrap_err();
         assert!(
             err.contains("--threat-model") && err.contains("verify-security"),
-            "{err}"
-        );
-        let err = parse(&["table1", "--bench-json", "/tmp/b.json"]).unwrap_err();
-        assert!(
-            err.contains("--bench-json") && err.contains("bench"),
             "{err}"
         );
     }
@@ -1164,10 +1142,10 @@ mod tests {
             "panic@0"
         ])
         .is_ok());
-        // bench has neither job layer nor store.
-        let err = parse(&["bench", "--inject-faults", "panic@0"]).unwrap_err();
+        // analyze-security has neither job layer nor store.
+        let err = parse(&["analyze-security", "--inject-faults", "panic@0"]).unwrap_err();
         assert!(
-            err.contains("--inject-faults") && err.contains("bench"),
+            err.contains("--inject-faults") && err.contains("analyze-security"),
             "{err}"
         );
         // --resume reads the stats store, which only the grid has.
@@ -1176,7 +1154,7 @@ mod tests {
             err.contains("--resume") && err.contains("verify-security"),
             "{err}"
         );
-        let err = parse(&["bench", "--resume"]).unwrap_err();
+        let err = parse(&["analyze-security", "--resume"]).unwrap_err();
         assert!(err.contains("--resume"), "{err}");
     }
 
@@ -1244,13 +1222,13 @@ mod tests {
         assert!(err.contains("--spec") && err.contains("sweep"), "{err}");
         let err = parse(&["--top", "5"]).unwrap_err();
         assert!(err.contains("--top") && err.contains("sweep"), "{err}");
-        let err = parse(&["bench", "--from-manifest", "/tmp/m.json"]).unwrap_err();
+        let err = parse(&["analyze-security", "--from-manifest", "/tmp/m.json"]).unwrap_err();
         assert!(err.contains("--from-manifest"), "{err}");
         // And sweep rejects flags it would silently ignore.
         let err = parse(&["sweep", "--spec", "base=mega", "--threat-model", "both"]).unwrap_err();
         assert!(err.contains("--threat-model"), "{err}");
-        let err = parse(&["sweep", "--spec", "base=mega", "--bench-json", "/tmp/b"]).unwrap_err();
-        assert!(err.contains("--bench-json"), "{err}");
+        let err = parse(&["sweep", "--spec", "base=mega", "--self-check"]).unwrap_err();
+        assert!(err.contains("--self-check"), "{err}");
     }
 
     #[test]

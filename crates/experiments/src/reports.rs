@@ -681,23 +681,12 @@ pub fn security_report() -> Report {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{run_grid, run_grid_with, RunOptions};
+    use crate::engine::{run_grid_with, RunOptions};
     use crate::jobs::JobPolicy;
     use sb_stats::TrendError;
 
     fn tiny_grid() -> GridResults {
-        run_grid(
-            &[
-                CoreConfig::small(),
-                CoreConfig::medium(),
-                CoreConfig::large(),
-                CoreConfig::mega(),
-            ],
-            &RunSpec {
-                ops: 2_000,
-                seed: 3,
-            },
-        )
+        storeless_grid(&CoreConfig::boom_sweep(), 2_000)
     }
 
     /// A grid over an arbitrary config list, run without touching any

@@ -35,7 +35,8 @@ impl fmt::Display for Fidelity {
 ///
 /// Both produce cycle-for-cycle identical [`sb_stats::SimStats`]; the
 /// reference path exists as the oracle for the event wheel's golden-stats
-/// regression tests and as the baseline for its throughput benches.
+/// regression tests and the `import` and `verify-security` differential
+/// checks.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
 pub enum SchedulerKind {
     /// Event-driven scheduler: ready queue + waiter lists + calendar

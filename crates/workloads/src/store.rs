@@ -1,5 +1,5 @@
 //! Persistent trace store: memoizes generated workload traces on disk so
-//! repeated CLI invocations and benches skip generation entirely.
+//! repeated CLI invocations skip generation entirely.
 //!
 //! Traces are serialized with `sb-isa`'s versioned, checksummed binary
 //! codec into one file per `(workload name, ops, seed, content fingerprint,
