@@ -7,10 +7,13 @@
 //! instructions renamed *in the same cycle*. The YRoT of each op in a rename
 //! group must therefore be computed serially, oldest first, and the whole
 //! chain must finish within the cycle so the RAT taint state is up to date
-//! for the next group (Figure 3). [`RenameTaintTracker::rename_group`]
-//! implements that chain and reports each op's serial depth, which the
-//! timing model (`sb-timing`) turns into the critical-path cost that caps
-//! STT-Rename's frequency on wide cores (§8.3).
+//! for the next group (Figure 3). [`RenameTaintTracker::begin_group`]
+//! opens a group and [`RenameTaintTracker::rename_op`] takes one op's step
+//! of the chain, so a pipeline can compute each YRoT while it dispatches
+//! the op; [`RenameTaintTracker::rename_group`] runs a whole group at
+//! once. Each step reports the op's serial depth, which the timing model
+//! (`sb-timing`) turns into the critical-path cost that caps STT-Rename's
+//! frequency on wide cores (§8.3).
 //!
 //! Because branches may resolve out of order once they are transmitters
 //! (§4.2), the RAT taint state must be checkpointed alongside the RAT
@@ -99,6 +102,13 @@ impl RenameTaintCheckpoint {
 #[derive(Clone, Debug)]
 pub struct RenameTaintTracker {
     taints: Vec<Option<Seq>>,
+    /// Per architectural register: the group that last wrote its taint and
+    /// the chain depth of that write. A depth counts only while its stamp
+    /// equals `group`; older writes were produced before this cycle (depth
+    /// 0), which spares clearing a per-register array every group.
+    depths: [(u32, u32); NUM_ARCH_REGS],
+    /// Stamp of the current rename group (0 = before the first group).
+    group: u32,
     /// Longest same-cycle chain observed (timing-model input).
     max_chain_depth: u32,
     /// Total YRoT comparisons performed (power-proxy input).
@@ -117,6 +127,8 @@ impl RenameTaintTracker {
     pub fn new() -> Self {
         RenameTaintTracker {
             taints: vec![None; NUM_ARCH_REGS],
+            depths: [(0, 0); NUM_ARCH_REGS],
+            group: 0,
             max_chain_depth: 0,
             comparisons: 0,
         }
@@ -129,63 +141,81 @@ impl RenameTaintTracker {
         self.taints[r.index()]
     }
 
-    /// Computes YRoTs for a same-cycle rename group, updating the RAT taint
-    /// state, and returns each op's outcome including its serial chain
-    /// depth.
+    /// Opens the next same-cycle rename group: every taint written before
+    /// now reads as produced in an earlier cycle (chain depth 0).
+    pub fn begin_group(&mut self) {
+        self.group = self.group.wrapping_add(1);
+        if self.group == 0 {
+            // The stamp wrapped: forget every stamp so none aliases the
+            // new group.
+            self.depths = [(0, 0); NUM_ARCH_REGS];
+            self.group = 1;
+        }
+    }
+
+    /// Computes the YRoT of the next op of the current group, updating
+    /// the RAT taint state, and returns its outcome including its serial
+    /// chain depth.
     ///
     /// `live` reports whether a taint root is still speculative; dead taints
     /// read as untainted (the continuous untaint rule of §3.1).
     ///
     /// Ops must be given oldest-first; the serial walk *is* the dependency
     /// chain of Figure 3.
+    pub fn rename_op(
+        &mut self,
+        op: &RenameGroupOp,
+        live: impl Fn(Seq) -> bool,
+    ) -> RenameTaintOutcome {
+        let mut src_yrot = [None, None];
+        let mut src_depth = [0u32, 0u32];
+        for (i, src) in op.srcs.iter().enumerate() {
+            if let Some(r) = src {
+                self.comparisons += 1;
+                let t = self.taints[r.index()].filter(|&root| live(root));
+                src_yrot[i] = t;
+                let (stamp, depth) = self.depths[r.index()];
+                if t.is_some() && stamp == self.group {
+                    src_depth[i] = depth;
+                }
+            }
+        }
+        let yrot = match (src_yrot[0], src_yrot[1]) {
+            (Some(a), Some(b)) => Some(a.max(b)),
+            (a, b) => a.or(b),
+        };
+        let chain_depth = 1 + src_depth[0].max(src_depth[1]);
+        self.max_chain_depth = self.max_chain_depth.max(chain_depth);
+
+        let mut prev_dst_taint = None;
+        if let Some(d) = op.dst {
+            let dest_taint = if op.is_load {
+                op.speculative.then_some(op.seq)
+            } else {
+                yrot
+            };
+            prev_dst_taint = std::mem::replace(&mut self.taints[d.index()], dest_taint);
+            let depth = if dest_taint.is_some() { chain_depth } else { 0 };
+            self.depths[d.index()] = (self.group, depth);
+        }
+        RenameTaintOutcome {
+            yrot,
+            addr_yrot: src_yrot[0],
+            data_yrot: src_yrot[1],
+            chain_depth,
+            prev_dst_taint,
+        }
+    }
+
+    /// Renames a whole same-cycle group: [`Self::begin_group`], then
+    /// [`Self::rename_op`] on each op, oldest first.
     pub fn rename_group(
         &mut self,
         ops: &[RenameGroupOp],
         live: impl Fn(Seq) -> bool,
     ) -> Vec<RenameTaintOutcome> {
-        // Depth of the taint value currently held by each arch reg *within
-        // this group* (0 = produced before this cycle).
-        let mut depth = [0u32; NUM_ARCH_REGS];
-        let mut out = Vec::with_capacity(ops.len());
-        for op in ops {
-            let mut src_yrot = [None, None];
-            let mut src_depth = [0u32, 0u32];
-            for (i, src) in op.srcs.iter().enumerate() {
-                if let Some(r) = src {
-                    self.comparisons += 1;
-                    let t = self.taints[r.index()].filter(|&root| live(root));
-                    src_yrot[i] = t;
-                    if t.is_some() {
-                        src_depth[i] = depth[r.index()];
-                    }
-                }
-            }
-            let yrot = match (src_yrot[0], src_yrot[1]) {
-                (Some(a), Some(b)) => Some(a.max(b)),
-                (a, b) => a.or(b),
-            };
-            let chain_depth = 1 + src_depth[0].max(src_depth[1]);
-            self.max_chain_depth = self.max_chain_depth.max(chain_depth);
-
-            let mut prev_dst_taint = None;
-            if let Some(d) = op.dst {
-                let dest_taint = if op.is_load {
-                    op.speculative.then_some(op.seq)
-                } else {
-                    yrot
-                };
-                prev_dst_taint = std::mem::replace(&mut self.taints[d.index()], dest_taint);
-                depth[d.index()] = if dest_taint.is_some() { chain_depth } else { 0 };
-            }
-            out.push(RenameTaintOutcome {
-                yrot,
-                addr_yrot: src_yrot[0],
-                data_yrot: src_yrot[1],
-                chain_depth,
-                prev_dst_taint,
-            });
-        }
-        out
+        self.begin_group();
+        ops.iter().map(|op| self.rename_op(op, &live)).collect()
     }
 
     /// Snapshots the taint state (taken together with the RAT checkpoint
@@ -393,6 +423,151 @@ mod tests {
         t.rename_group(&[op(1, [Some(x(2)), None], Some(x(1)), true)], |_| true);
         t.clear();
         assert_eq!(t.tainted_count(), 0);
+    }
+
+    /// The whole-group chain as it was computed before the per-op API: a
+    /// zeroed depth array per group over a plain taint table. The oracle
+    /// the per-op steps must equal.
+    fn zeroed_array_group(
+        taints: &mut [Option<Seq>; NUM_ARCH_REGS],
+        ops: &[RenameGroupOp],
+        live: impl Fn(Seq) -> bool,
+    ) -> Vec<RenameTaintOutcome> {
+        let mut depth = [0u32; NUM_ARCH_REGS];
+        let mut out = Vec::new();
+        for op in ops {
+            let mut src_yrot = [None, None];
+            let mut src_depth = [0u32, 0u32];
+            for (i, src) in op.srcs.iter().enumerate() {
+                if let Some(r) = src {
+                    let t = taints[r.index()].filter(|&root| live(root));
+                    src_yrot[i] = t;
+                    if t.is_some() {
+                        src_depth[i] = depth[r.index()];
+                    }
+                }
+            }
+            let yrot = match (src_yrot[0], src_yrot[1]) {
+                (Some(a), Some(b)) => Some(a.max(b)),
+                (a, b) => a.or(b),
+            };
+            let chain_depth = 1 + src_depth[0].max(src_depth[1]);
+            let mut prev_dst_taint = None;
+            if let Some(d) = op.dst {
+                let dest_taint = if op.is_load {
+                    op.speculative.then_some(op.seq)
+                } else {
+                    yrot
+                };
+                prev_dst_taint = std::mem::replace(&mut taints[d.index()], dest_taint);
+                depth[d.index()] = if dest_taint.is_some() { chain_depth } else { 0 };
+            }
+            out.push(RenameTaintOutcome {
+                yrot,
+                addr_yrot: src_yrot[0],
+                data_yrot: src_yrot[1],
+                chain_depth,
+                prev_dst_taint,
+            });
+        }
+        out
+    }
+
+    #[test]
+    fn register_renamed_in_an_earlier_group_reads_depth_one() {
+        let mut t = RenameTaintTracker::new();
+        t.begin_group();
+        let root = t.rename_op(&op(1, [Some(x(2)), None], Some(x(1)), true), |_| true);
+        let dep = t.rename_op(&op(2, [Some(x(1)), None], Some(x(3)), false), |_| true);
+        assert_eq!((root.chain_depth, dep.chain_depth), (1, 2));
+        t.begin_group();
+        let out = t.rename_op(&op(3, [Some(x(3)), None], Some(x(4)), false), |_| true);
+        assert_eq!(out.yrot, Some(Seq::new(1)), "the taint itself carries over");
+        assert_eq!(out.chain_depth, 1, "its chain depth does not");
+    }
+
+    #[test]
+    fn per_op_steps_build_depth_within_a_group() {
+        let mut t = RenameTaintTracker::new();
+        t.begin_group();
+        let depths: Vec<u32> = [
+            op(1, [Some(x(9)), None], Some(x(1)), true),
+            op(2, [Some(x(1)), None], Some(x(2)), false),
+            op(3, [Some(x(5)), None], Some(x(6)), false),
+            op(4, [Some(x(6)), Some(x(2))], Some(x(7)), false),
+        ]
+        .iter()
+        .map(|o| t.rename_op(o, |_| true).chain_depth)
+        .collect();
+        // x5/x6 are untainted, so op 4's depth comes from the x1 -> x2 chain.
+        assert_eq!(depths, [1, 2, 1, 3]);
+        assert_eq!(t.max_chain_depth(), 3);
+    }
+
+    #[test]
+    fn group_stamp_wraparound_forgets_old_depths() {
+        let mut t = RenameTaintTracker::new();
+        // Group 1 leaves x2 at chain depth 2.
+        t.begin_group();
+        assert_eq!(t.group, 1);
+        t.rename_op(&op(1, [Some(x(9)), None], Some(x(1)), true), |_| true);
+        t.rename_op(&op(2, [Some(x(1)), None], Some(x(2)), false), |_| true);
+        // 2^32 - 1 groups later the stamp wraps back to 1: x2's old stamp
+        // must not alias the new group.
+        t.group = u32::MAX - 1;
+        t.begin_group();
+        assert_eq!(t.group, u32::MAX);
+        t.begin_group();
+        assert_eq!(t.group, 1);
+        let out = t.rename_op(&op(3, [Some(x(2)), None], Some(x(3)), false), |_| true);
+        assert_eq!(out.yrot, Some(Seq::new(1)));
+        assert_eq!(out.chain_depth, 1);
+        // A depth stamped in the new group still counts within it.
+        let out = t.rename_op(&op(4, [Some(x(3)), None], Some(x(4)), false), |_| true);
+        assert_eq!(out.chain_depth, 2);
+    }
+
+    #[test]
+    fn per_op_steps_equal_the_zeroed_array_group() {
+        // Deterministic pseudo-random groups over a few registers, so
+        // chains, overwrites and dead roots are all common.
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = |n: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % n
+        };
+        let mut per_op = RenameTaintTracker::new();
+        let mut oracle = [None; NUM_ARCH_REGS];
+        let mut seq = 0u64;
+        for _ in 0..2_000 {
+            let width = 1 + next(8) as usize;
+            let group: Vec<RenameGroupOp> = (0..width)
+                .map(|_| {
+                    seq += 1;
+                    let reg = |v: u64| (v < 6).then(|| x(1 + v as u8));
+                    RenameGroupOp {
+                        seq: Seq::new(seq),
+                        srcs: [reg(next(8)), reg(next(8))],
+                        dst: reg(next(7)),
+                        is_load: next(3) == 0,
+                        speculative: next(4) != 0,
+                    }
+                })
+                .collect();
+            // Roots older than a moving horizon are dead.
+            let horizon = Seq::new(seq.saturating_sub(12));
+            let live = |root: Seq| root > horizon;
+            let want = zeroed_array_group(&mut oracle, &group, live);
+            per_op.begin_group();
+            let got: Vec<RenameTaintOutcome> =
+                group.iter().map(|o| per_op.rename_op(o, live)).collect();
+            assert_eq!(got, want);
+            for r in 1..8 {
+                assert_eq!(per_op.taint_of(x(r)), oracle[x(r).index()]);
+            }
+        }
     }
 
     #[test]

@@ -13,9 +13,9 @@ use crate::engine::{bench_seed, bench_trace, run_scheme_cfg_cancellable, RunRepo
 use crate::jobs;
 use crate::stats_store::{combine_fp, tag_fp};
 use crate::RunOptions;
-use sb_core::{Scheme, SchemeConfig, ThreatModel};
+use sb_core::{Scheme, ThreatModel};
 use sb_stats::BenchResult;
-use sb_uarch::{CoreConfig, Fidelity};
+use sb_uarch::CoreConfig;
 use sb_workloads::spec2017_profiles;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -165,12 +165,8 @@ pub fn run_sweep(
         let trace = traces[r * n_b + b]
             .get_or_init(|| bench_trace(profile, &rep_specs[r]))
             .clone();
-        let scheme_cfg = match p.config.fidelity {
-            Fidelity::Rtl => SchemeConfig::rtl(p.scheme, p.config.mem_ports),
-            Fidelity::Abstract => SchemeConfig::abstract_sim(p.scheme),
-        }
-        .with_threat_model(p.threat);
-        let (row, stats) = run_scheme_cfg_cancellable(&p.config, scheme_cfg, profile, trace, ctx)?;
+        let scheme_cfg = p.config.scheme_config(p.scheme).with_threat_model(p.threat);
+        let stats = run_scheme_cfg_cancellable(&p.config, scheme_cfg, profile, trace, ctx)?;
         simulated.fetch_add(1, Ordering::Relaxed);
         if let Some(store) = &opts.store {
             if let Ok(path) = store.save(profile.name, run.ops, seed, fp, &stats) {
@@ -181,7 +177,11 @@ pub fn run_sweep(
                 }
             }
         }
-        Ok(row)
+        Ok(BenchResult::new(
+            profile.name,
+            stats.committed.get(),
+            stats.cycles.get(),
+        ))
     });
     let mut out = Vec::with_capacity(points.len());
     for (i, p) in points.iter().enumerate() {

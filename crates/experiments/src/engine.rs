@@ -1,29 +1,32 @@
-//! The run grid: simulate every (config, scheme, benchmark) point, with
-//! deterministic seeding, over the fault-tolerant job layer.
+//! The job list: simulate every point a run needs — a (config, scheme
+//! configuration, benchmark, trace seed) tuple — with deterministic
+//! seeding, over the fault-tolerant job layer.
 //!
-//! All grid points are flattened into one job list (configs × schemes ×
-//! benchmarks) so the pool stays saturated end-to-end instead of
-//! serializing on (config, scheme) suite boundaries. Each point runs as a
-//! [`crate::jobs`] job: panics are isolated, per-job deadlines and the
-//! global run budget are enforced cooperatively through the core's cancel
-//! token, and every completed point's `SimStats` is persisted to the
+//! [`run_points`] is the one way the experiments simulate. It takes any
+//! list of [`Point`]s (the grid's configs × schemes × benchmarks, plus the
+//! points Table 4, Table 5 and §9.2 read), runs each distinct point once
+//! as one flat job list so the pool stays saturated end-to-end, and keeps
+//! every point's full `SimStats`. Each point runs as a [`crate::jobs`]
+//! job: panics are isolated, per-job deadlines and the global run budget
+//! are enforced cooperatively through the core's cancel token, and every
+//! completed point's `SimStats` is persisted to the
 //! [`crate::stats_store::StatsStore`] so `--resume` re-simulates only the
-//! missing points.
+//! missing points. Points that run the same trace share it by reference.
 
 use crate::jobs::{self, JobCtx, JobError, JobFailure, JobPolicy};
-use crate::pool;
 use crate::stats_store::{combine_fp, tag_fp, StatsStore};
-use sb_core::Scheme;
+use sb_core::{Scheme, SchemeConfig};
 use sb_stats::{BenchResult, SimStats, SuiteSummary};
 use sb_uarch::{Core, CoreConfig};
 use sb_workloads::{cached_generate, spec2017_profiles, WorkloadProfile};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 /// Safety valve: no benchmark may run longer than this many cycles.
 const MAX_CYCLES: u64 = 400_000_000;
 
-/// Parameters of one grid run.
+/// Parameters of one run: trace length and seed.
 #[derive(Clone, Debug)]
 pub struct RunSpec {
     /// Dynamic micro-ops per benchmark trace.
@@ -66,6 +69,9 @@ pub fn check_ops(ops: u64) -> Result<usize, String> {
 pub enum ExperimentError {
     /// A configuration name outside the BOOM sweep.
     UnknownConfig(String),
+    /// A report's point (named by its label) was not run or its job
+    /// failed.
+    MissingPoint(String),
     /// The `(config, scheme)` point was not part of the grid.
     MissingGridPoint {
         /// Requested configuration name.
@@ -100,6 +106,7 @@ impl std::fmt::Display for ExperimentError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ExperimentError::UnknownConfig(name) => write!(f, "unknown config {name}"),
+            ExperimentError::MissingPoint(label) => write!(f, "no result for point {label}"),
             ExperimentError::MissingGridPoint { config, scheme } => {
                 write!(f, "no grid point ({config}, {scheme})")
             }
@@ -124,26 +131,11 @@ impl std::fmt::Display for ExperimentError {
 
 impl std::error::Error for ExperimentError {}
 
-/// Runs one benchmark on one (config, scheme) point; returns the suite row
-/// and the full statistics.
-#[must_use]
-pub fn run_bench(
-    config: &CoreConfig,
-    scheme: Scheme,
-    profile: &WorkloadProfile,
-    spec: &RunSpec,
-) -> (BenchResult, SimStats) {
-    let trace = bench_trace(profile, spec);
-    run_bench_on_trace(config, scheme, profile, trace)
-}
-
-/// The deterministic trace `run_bench` simulates for `profile` under
-/// `spec` (exposed so the grid can generate each benchmark's trace once
-/// and share it across every (config, scheme) point). Backed by the
-/// persistent trace store: repeated CLI invocations load the
-/// serialized trace instead of regenerating (disable or redirect via
-/// [`sb_workloads::TRACE_CACHE_ENV`]). Caching cannot change results — the
-/// store validates checksums and falls back to regeneration, and the
+/// The deterministic trace a grid point simulates for `profile` under
+/// `spec`. Backed by the persistent trace store: repeated CLI invocations
+/// load the serialized trace instead of regenerating (disable or redirect
+/// via [`sb_workloads::TRACE_CACHE_ENV`]). Caching cannot change results —
+/// the store validates checksums and falls back to regeneration, and the
 /// golden/regression suites assert cached and fresh traces simulate
 /// identically.
 #[must_use]
@@ -158,70 +150,17 @@ pub(crate) fn bench_seed(profile: &WorkloadProfile, spec: &RunSpec) -> u64 {
     spec.seed ^ fxhash(profile.name)
 }
 
-/// [`run_bench`] on a pre-generated trace.
-///
-/// # Panics
-///
-/// Panics when the benchmark does not finish within the cycle safety
-/// valve. Grid runs go through the job layer instead
-/// ([`run_grid_with`]), where the same condition is a typed job failure.
-#[must_use]
-pub fn run_bench_on_trace(
-    config: &CoreConfig,
-    scheme: Scheme,
-    profile: &WorkloadProfile,
-    trace: sb_isa::Trace,
-) -> (BenchResult, SimStats) {
-    let mut core = Core::with_scheme(config.clone(), scheme, trace);
-    core.run(MAX_CYCLES);
-    assert!(
-        core.is_done(),
-        "{} on {} ({scheme}) did not finish",
-        profile.name,
-        config.name
-    );
-    let stats = core.stats().clone();
-    (
-        BenchResult::new(profile.name, stats.committed.get(), stats.cycles.get()),
-        stats,
-    )
-}
-
-/// The cancellation-aware grid job body: runs one point under the job's
-/// cancel token, classifying interruption (deadline vs budget) and
+/// The cancellation-aware job body: runs one point under the job's cancel
+/// token, classifying interruption (deadline vs budget) and
 /// non-termination as typed failures instead of panicking.
-fn run_bench_cancellable(
-    config: &CoreConfig,
-    scheme: Scheme,
-    profile: &WorkloadProfile,
-    trace: sb_isa::Trace,
-    ctx: &JobCtx,
-) -> Result<(BenchResult, SimStats), JobFailure> {
-    let core = Core::with_scheme(config.clone(), scheme, trace);
-    finish_cancellable(core, config, profile, ctx)
-}
-
-/// [`run_bench_cancellable`] with an explicit scheme configuration — the
-/// sweep's job body, where the threat model is an axis rather than the
-/// fidelity-derived default.
 pub(crate) fn run_scheme_cfg_cancellable(
     config: &CoreConfig,
-    scheme_cfg: sb_core::SchemeConfig,
+    scheme_cfg: SchemeConfig,
     profile: &WorkloadProfile,
     trace: sb_isa::Trace,
     ctx: &JobCtx,
-) -> Result<(BenchResult, SimStats), JobFailure> {
-    let core = Core::new(config.clone(), scheme_cfg, trace);
-    finish_cancellable(core, config, profile, ctx)
-}
-
-fn finish_cancellable(
-    mut core: Core,
-    config: &CoreConfig,
-    profile: &WorkloadProfile,
-    ctx: &JobCtx,
-) -> Result<(BenchResult, SimStats), JobFailure> {
-    let scheme = core.scheme();
+) -> Result<SimStats, JobFailure> {
+    let mut core = Core::new(config.clone(), scheme_cfg, trace);
     core.set_cancel_token(ctx.cancel.clone());
     core.run(MAX_CYCLES);
     if core.interrupted() {
@@ -229,15 +168,11 @@ fn finish_cancellable(
     }
     if !core.is_done() {
         return Err(JobFailure::permanent(format!(
-            "{} on {} ({scheme}) did not finish within {MAX_CYCLES} cycles",
-            profile.name, config.name
+            "{} on {} ({}) did not finish within {MAX_CYCLES} cycles",
+            profile.name, config.name, scheme_cfg.scheme
         )));
     }
-    let stats = core.stats().clone();
-    Ok((
-        BenchResult::new(profile.name, stats.committed.get(), stats.cycles.get()),
-        stats,
-    ))
+    Ok(core.stats().clone())
 }
 
 fn fxhash(s: &str) -> u64 {
@@ -247,14 +182,200 @@ fn fxhash(s: &str) -> u64 {
     })
 }
 
-/// Runs the full 22-benchmark suite on one (config, scheme) point over the
-/// bounded worker pool (previously: one unbounded OS thread per benchmark).
-#[must_use]
-pub fn run_suite(config: &CoreConfig, scheme: Scheme, spec: &RunSpec) -> Vec<BenchResult> {
+/// One simulation: a benchmark's trace on a configuration under a scheme
+/// configuration.
+#[derive(Clone, Debug)]
+pub(crate) struct Point {
+    /// Core configuration.
+    pub(crate) config: CoreConfig,
+    /// Scheme configuration the core runs under.
+    pub(crate) scheme: SchemeConfig,
+    /// The benchmark.
+    pub(crate) profile: WorkloadProfile,
+    /// Seed of the benchmark's trace.
+    pub(crate) seed: u64,
+}
+
+impl Point {
+    /// A grid point: `scheme` at `config`'s default scheme configuration,
+    /// on the trace [`bench_trace`] gives `profile` under `spec`.
+    pub(crate) fn bench(
+        config: &CoreConfig,
+        scheme: Scheme,
+        profile: &WorkloadProfile,
+        spec: &RunSpec,
+    ) -> Point {
+        Point {
+            config: config.clone(),
+            scheme: config.scheme_config(scheme),
+            profile: *profile,
+            seed: bench_seed(profile, spec),
+        }
+    }
+
+    fn is_default_scheme(&self) -> bool {
+        self.scheme == self.config.scheme_config(self.scheme.scheme)
+    }
+
+    /// The point's stats-store key `(seed, fingerprint)`. A point at its
+    /// configuration's default scheme configuration keys as the grid
+    /// always has; any other scheme configuration also folds in its full
+    /// description and threat model, as a sweep folds in its threat axis.
+    fn key(&self) -> (u64, u64) {
+        let scheme = if self.is_default_scheme() {
+            tag_fp(&self.scheme.scheme.to_string())
+        } else {
+            combine_fp([
+                tag_fp(&self.scheme.to_string()),
+                tag_fp(&self.scheme.threat_model.to_string()),
+            ])
+        };
+        let fp = combine_fp([
+            self.config.fingerprint(),
+            scheme,
+            self.profile.fingerprint(),
+        ]);
+        (self.seed, fp)
+    }
+
+    /// The point's suite row.
+    pub(crate) fn row(&self, stats: &SimStats) -> BenchResult {
+        BenchResult::new(self.profile.name, stats.committed.get(), stats.cycles.get())
+    }
+
+    /// `config/scheme/benchmark`, the name a failure report gives the
+    /// point's job.
+    fn label(&self) -> String {
+        let scheme = if self.is_default_scheme() {
+            self.scheme.scheme.to_string()
+        } else {
+            self.scheme.to_string()
+        };
+        format!("{}/{scheme}/{}", self.config.name, self.profile.name)
+    }
+}
+
+/// The full statistics of every point a [`run_points`] call ran, looked
+/// up by the point itself.
+#[derive(Debug, Default)]
+pub(crate) struct PointResults {
+    /// Stats-store key → position in `stats`.
+    index: HashMap<(u64, u64), usize>,
+    /// One slot per distinct point in job order; `None` for a failed job.
+    stats: Vec<Option<SimStats>>,
+}
+
+impl PointResults {
+    /// The statistics of `point`.
+    ///
+    /// # Errors
+    ///
+    /// [`ExperimentError::MissingPoint`] if the point was not run or its
+    /// job failed.
+    pub(crate) fn get(&self, point: &Point) -> Result<&SimStats, ExperimentError> {
+        self.index
+            .get(&point.key())
+            .and_then(|&i| self.stats[i].as_ref())
+            .ok_or_else(|| ExperimentError::MissingPoint(point.label()))
+    }
+}
+
+/// The grid's points: configs × every scheme × every benchmark,
+/// config-major, then scheme, then benchmark.
+pub(crate) fn grid_points(configs: &[CoreConfig], spec: &RunSpec) -> Vec<Point> {
     let profiles = spec2017_profiles();
-    pool::run_indexed(profiles.len(), pool::default_workers(), |i| {
-        run_bench(config, scheme, &profiles[i], spec).0
-    })
+    let mut points = Vec::with_capacity(configs.len() * 4 * profiles.len());
+    for config in configs {
+        for scheme in Scheme::all() {
+            points.extend(
+                profiles
+                    .iter()
+                    .map(|p| Point::bench(config, scheme, p, spec)),
+            );
+        }
+    }
+    points
+}
+
+/// Runs `points` as one job list over the fault-tolerant job layer: each
+/// distinct point once, in order of first appearance, so job `k` is the
+/// `k`-th distinct point (the index `--inject-faults` names). Every
+/// point's trace is produced once and shared by reference across the
+/// points that run it; a fully cached resume produces none. Returns every
+/// point's full statistics plus a run report of cache hits, simulations
+/// and per-job failures.
+#[must_use]
+pub(crate) fn run_points(
+    points: impl IntoIterator<Item = Point>,
+    spec: &RunSpec,
+    opts: &RunOptions,
+) -> (PointResults, RunReport) {
+    let mut index = HashMap::new();
+    let mut unique: Vec<(Point, (u64, u64))> = Vec::new();
+    for point in points {
+        let key = point.key();
+        index.entry(key).or_insert_with(|| {
+            unique.push((point, key));
+            unique.len() - 1
+        });
+    }
+    // One trace slot per distinct (benchmark, seed).
+    let mut slot_of: HashMap<(&str, u64), usize> = HashMap::new();
+    let slots: Vec<usize> = unique
+        .iter()
+        .map(|(p, _)| {
+            let next = slot_of.len();
+            *slot_of.entry((p.profile.name, p.seed)).or_insert(next)
+        })
+        .collect();
+    let traces: Vec<OnceLock<sb_isa::Trace>> =
+        (0..slot_of.len()).map(|_| OnceLock::new()).collect();
+    let labels: Vec<String> = unique.iter().map(|(p, _)| p.label()).collect();
+    let simulated = AtomicUsize::new(0);
+    let from_cache = AtomicUsize::new(0);
+    let report = jobs::run_batch(&labels, &opts.policy, |ctx| {
+        let k = ctx.index;
+        let (point, (seed, fp)) = &unique[k];
+        let name = point.profile.name;
+        if opts.resume {
+            if let Some(stats) = opts
+                .store
+                .as_ref()
+                .and_then(|s| s.load(name, spec.ops, *seed, *fp))
+            {
+                from_cache.fetch_add(1, Ordering::Relaxed);
+                return Ok(stats);
+            }
+        }
+        let trace = traces[slots[k]]
+            .get_or_init(|| cached_generate(&point.profile, spec.ops, point.seed))
+            .clone();
+        let stats =
+            run_scheme_cfg_cancellable(&point.config, point.scheme, &point.profile, trace, ctx)?;
+        simulated.fetch_add(1, Ordering::Relaxed);
+        if let Some(store) = &opts.store {
+            // A failed save is a cache bypass, never a run failure.
+            if let Ok(path) = store.save(name, spec.ops, *seed, *fp, &stats) {
+                if let Some(plan) = &opts.policy.faults {
+                    if plan.corrupts_stats_at(k) {
+                        let _ = crate::faults::corrupt_file(&path);
+                    }
+                }
+            }
+        }
+        Ok(stats)
+    });
+    let run_report = RunReport {
+        simulated: simulated.into_inner(),
+        from_cache: from_cache.into_inner(),
+        total: unique.len(),
+        failures: report.failures,
+    };
+    let results = PointResults {
+        index,
+        stats: report.results,
+    };
+    (results, run_report)
 }
 
 /// All suite results for a set of configurations and schemes. Suites may
@@ -323,6 +444,39 @@ impl GridResults {
         ))
     }
 
+    /// The grid over `configs` read out of `results`: one suite per
+    /// (config, scheme), holding the rows of the benchmarks whose points
+    /// produced results.
+    pub(crate) fn from_points(
+        configs: &[CoreConfig],
+        results: &PointResults,
+        spec: &RunSpec,
+    ) -> Self {
+        let profiles = spec2017_profiles();
+        let mut grid = GridResults {
+            suites: HashMap::new(),
+            configs: Vec::new(),
+            benchmarks: profiles.len(),
+        };
+        for config in configs {
+            // A repeated config is listed once.
+            if !grid.configs.iter().any(|n| n == config.name) {
+                grid.configs.push(config.name.to_string());
+            }
+            for scheme in Scheme::all() {
+                let rows = profiles
+                    .iter()
+                    .filter_map(|p| {
+                        let point = Point::bench(config, scheme, p, spec);
+                        Some(point.row(results.get(&point).ok()?))
+                    })
+                    .collect();
+                grid.suites.insert((config.name.to_string(), scheme), rows);
+            }
+        }
+        grid
+    }
+
     /// Absolute baseline suite IPC for a configuration (Table 1's row).
     ///
     /// # Errors
@@ -333,7 +487,7 @@ impl GridResults {
     }
 }
 
-/// Execution options for [`run_grid_with`].
+/// Execution options for a run (`run_grid_with`, `simulate`, `run_sweep`).
 #[derive(Clone, Debug)]
 pub struct RunOptions {
     /// Job-layer policy: workers, deadlines, budget, retries, faults.
@@ -356,7 +510,7 @@ impl Default for RunOptions {
     }
 }
 
-/// What a grid run did: how much was simulated versus served from the
+/// What a run did: how much was simulated versus served from the
 /// stats store, and every per-job failure.
 #[derive(Clone, Debug)]
 pub struct RunReport {
@@ -364,7 +518,7 @@ pub struct RunReport {
     pub simulated: usize,
     /// Points served from the stats store (`--resume` hits).
     pub from_cache: usize,
-    /// Total points in the grid.
+    /// Total distinct points in the run.
     pub total: usize,
     /// Every failed job, in index order.
     pub failures: Vec<JobError>,
@@ -386,116 +540,17 @@ impl RunReport {
 }
 
 /// Runs the whole grid under explicit execution options: every scheme on
-/// every given configuration, flattened into one job list over the
-/// fault-tolerant job layer. Returns the (possibly partial) grid plus a
-/// run report of cache hits, simulations, and per-job failures.
+/// every given configuration, as one `run_points` job list. Returns the
+/// (possibly partial) grid plus a run report of cache hits, simulations,
+/// and per-job failures.
 #[must_use]
 pub fn run_grid_with(
     configs: &[CoreConfig],
     spec: &RunSpec,
     opts: &RunOptions,
 ) -> (GridResults, RunReport) {
-    // Config-major, then scheme, then benchmark: job `k` is point
-    // `k / profiles.len()`, benchmark `k % profiles.len()`.
-    let points: Vec<(&CoreConfig, Scheme)> = configs
-        .iter()
-        .flat_map(|c| Scheme::all().into_iter().map(move |s| (c, s)))
-        .collect();
-    let profiles = spec2017_profiles();
-    let jobs_n = points.len() * profiles.len();
-    let labels: Vec<String> = (0..jobs_n)
-        .map(|k| {
-            let (config, scheme) = &points[k / profiles.len()];
-            format!(
-                "{}/{}/{}",
-                config.name,
-                scheme,
-                profiles[k % profiles.len()].name
-            )
-        })
-        .collect();
-    // Resolve every point's stats-store key up front so the resume pass
-    // can decide which traces it still needs.
-    let keys: Vec<(u64, u64)> = (0..jobs_n)
-        .map(|k| {
-            let (config, scheme) = &points[k / profiles.len()];
-            let profile = &profiles[k % profiles.len()];
-            let fp = combine_fp([
-                config.fingerprint(),
-                tag_fp(&scheme.to_string()),
-                profile.fingerprint(),
-            ]);
-            (bench_seed(profile, spec), fp)
-        })
-        .collect();
-    // Each benchmark's trace is identical across all (config, scheme)
-    // points: generate once, share, and clone per run (a memcpy, far
-    // cheaper than regeneration). On a fully-cached resume every slot
-    // stays `None` and zero traces are generated.
-    let traces: Vec<std::sync::OnceLock<sb_isa::Trace>> = (0..profiles.len())
-        .map(|_| std::sync::OnceLock::new())
-        .collect();
-    let simulated = AtomicUsize::new(0);
-    let from_cache = AtomicUsize::new(0);
-    let report = jobs::run_batch(&labels, &opts.policy, |ctx| {
-        let k = ctx.index;
-        let (config, scheme) = points[k / profiles.len()];
-        let b = k % profiles.len();
-        let profile = &profiles[b];
-        let (seed, fp) = keys[k];
-        if opts.resume {
-            if let Some(store) = &opts.store {
-                if let Some(stats) = store.load(profile.name, spec.ops, seed, fp) {
-                    from_cache.fetch_add(1, Ordering::Relaxed);
-                    return Ok(BenchResult::new(
-                        profile.name,
-                        stats.committed.get(),
-                        stats.cycles.get(),
-                    ));
-                }
-            }
-        }
-        let trace = traces[b].get_or_init(|| bench_trace(profile, spec)).clone();
-        let (row, stats) = run_bench_cancellable(config, scheme, profile, trace, ctx)?;
-        simulated.fetch_add(1, Ordering::Relaxed);
-        if let Some(store) = &opts.store {
-            // A failed save is a cache bypass, never a run failure.
-            if let Ok(path) = store.save(profile.name, spec.ops, seed, fp, &stats) {
-                if let Some(plan) = &opts.policy.faults {
-                    if plan.corrupts_stats_at(k) {
-                        let _ = crate::faults::corrupt_file(&path);
-                    }
-                }
-            }
-        }
-        Ok(row)
-    });
-    // Unique config names in order: a repeated config is listed once.
-    let mut config_names: Vec<String> = Vec::new();
-    for config in configs {
-        if !config_names.iter().any(|n| n == config.name) {
-            config_names.push(config.name.to_string());
-        }
-    }
-    let mut grid = GridResults {
-        suites: HashMap::new(),
-        configs: config_names,
-        benchmarks: profiles.len(),
-    };
-    for (pi, (config, scheme)) in points.iter().enumerate() {
-        let rows: Vec<BenchResult> = report.results[pi * profiles.len()..(pi + 1) * profiles.len()]
-            .iter()
-            .filter_map(Clone::clone)
-            .collect();
-        grid.suites.insert((config.name.to_string(), *scheme), rows);
-    }
-    let run_report = RunReport {
-        simulated: simulated.into_inner(),
-        from_cache: from_cache.into_inner(),
-        total: jobs_n,
-        failures: report.failures,
-    };
-    (grid, run_report)
+    let (results, report) = run_points(grid_points(configs, spec), spec, opts);
+    (GridResults::from_points(configs, &results, spec), report)
 }
 
 #[cfg(test)]
@@ -531,19 +586,43 @@ mod tests {
     }
 
     #[test]
-    fn run_bench_completes_and_reports() {
+    fn repeated_points_run_once_and_keep_full_stats() {
         let p = spec2017_profiles();
-        let (row, stats) = run_bench(&CoreConfig::medium(), Scheme::Baseline, &p[0], &tiny());
-        assert_eq!(row.instructions, 3_000);
-        assert!(row.cycles > 0);
-        assert_eq!(stats.committed.get(), 3_000);
+        let spec = tiny();
+        let a = Point::bench(&CoreConfig::medium(), Scheme::Baseline, &p[0], &spec);
+        let b = Point::bench(&CoreConfig::medium(), Scheme::Nda, &p[0], &spec);
+        let opts = RunOptions {
+            store: None,
+            ..RunOptions::default()
+        };
+        let (results, report) = run_points([a.clone(), b.clone(), a.clone()], &spec, &opts);
+        assert!(report.ok());
+        assert_eq!((report.total, report.simulated), (2, 2));
+        assert_eq!(results.get(&a).unwrap().committed.get(), 3_000);
+        assert!(results.get(&b).unwrap().cycles.get() > 0);
+        let absent = Point::bench(&CoreConfig::small(), Scheme::Baseline, &p[0], &spec);
+        assert_eq!(
+            results.get(&absent).unwrap_err(),
+            ExperimentError::MissingPoint("small/Baseline/500.perlbench".into())
+        );
     }
 
     #[test]
-    fn suite_covers_all_benchmarks() {
-        let rows = run_suite(&CoreConfig::small(), Scheme::Nda, &tiny());
-        assert_eq!(rows.len(), 22);
-        assert!(rows.iter().all(|r| r.cycles > 0));
+    fn an_explicit_scheme_config_keys_apart_from_the_default() {
+        let p = spec2017_profiles();
+        let spec = tiny();
+        let default = Point::bench(&CoreConfig::mega(), Scheme::SttRename, &p[18], &spec);
+        let mut split = default.clone();
+        split.scheme.split_store_taints = true;
+        assert_ne!(default.key(), split.key());
+        let mut futuristic = default.clone();
+        futuristic.scheme = futuristic
+            .scheme
+            .with_threat_model(sb_core::ThreatModel::Futuristic);
+        assert_ne!(default.key(), futuristic.key());
+        assert_ne!(split.key(), futuristic.key());
+        assert_eq!(default.label(), "mega/STT-Rename/548.exchange2");
+        assert!(split.label().contains("+split-store"), "{}", split.label());
     }
 
     #[test]

@@ -25,15 +25,16 @@ pub use analyze::{
     static_matrix_report, ExtendedAudit, StaticCell, StaticVerdict,
 };
 pub use engine::{
-    bench_trace, check_ops, run_bench, run_bench_on_trace, run_grid_with, run_suite,
-    ExperimentError, GridResults, RunOptions, RunReport, RunSpec, MAX_OPS,
+    bench_trace, check_ops, run_grid_with, ExperimentError, GridResults, RunOptions, RunReport,
+    RunSpec, MAX_OPS,
 };
 pub use faults::{FaultPlan, FAULT_ENV};
 pub use jobs::{BatchReport, JobCtx, JobError, JobFailure, JobPolicy};
 pub use render::{bar, format_table};
 pub use reports::{
     fig10_report, fig1_table3_report, fig6_report, fig7_report, fig8_report, fig9_report,
-    sec92_report, security_report, table1_report, table4_report, table5_report, Report,
+    sec92_report, security_report, simulate, table1_report, table4_report, table5_report, Needs,
+    Report, Simulated,
 };
 pub use security::{
     battery_scheme_config, measure_leaks, security_matrix_report, verify_security,

@@ -27,15 +27,18 @@
 //! the store for this run, and the `SB_TRACE_CACHE` environment variable
 //! disables (`0`/`off`) or redirects (a path) it globally.
 //!
-//! Grid results are persisted the same way: every simulated point's
-//! `SimStats` lands in the checksummed stats store (default
-//! `target/stats-cache/`; `SB_STATS_CACHE` disables or redirects it with
-//! `SB_TRACE_CACHE`'s exact semantics). `--resume` additionally *reads*
-//! the store before simulating, so a killed or partially failed run picks
-//! up where it left off — only the missing points are simulated, and a
-//! fully cached grid performs zero simulations.
+//! Every simulation the requested experiments read — the grid, and the
+//! points of `table4`, `table5` and `sec92` — runs as one job list, each
+//! distinct point once (441 points for `all`). Results are persisted the
+//! same way as traces: every simulated point's `SimStats` lands in the
+//! checksummed stats store (default `target/stats-cache/`;
+//! `SB_STATS_CACHE` disables or redirects it with `SB_TRACE_CACHE`'s exact
+//! semantics). `--resume` additionally *reads* the store before
+//! simulating, so a killed or partially failed run picks up where it left
+//! off — only the missing points are simulated, and a fully cached run
+//! performs zero simulations.
 //!
-//! Grid and battery jobs run panic-isolated: a job that panics, exceeds
+//! Experiment and battery jobs run panic-isolated: a job that panics, exceeds
 //! `--job-deadline`, or is cancelled by the global `--run-budget` becomes
 //! a line in the failure report (`N of M jobs failed: #i label: cause`)
 //! while every other job's result is kept; the affected reports are
@@ -87,10 +90,10 @@ use sb_experiments::dse::{
 use sb_experiments::security::BATTERY_SECRET;
 use sb_experiments::{
     analyze_battery, check_ops, extended_claims_audit, fig10_report, fig1_table3_report,
-    fig6_report, fig7_report, fig8_report, fig9_report, perturb_battery_claim, run_grid_with,
-    sec92_report, security_matrix_report, security_report, static_matrix_report, table1_report,
-    table4_report, table5_report, verify_security_with, ExperimentError, FaultPlan, GridResults,
-    JobPolicy, Report, RunOptions, RunSpec,
+    fig6_report, fig7_report, fig8_report, fig9_report, perturb_battery_claim,
+    security_matrix_report, security_report, simulate, static_matrix_report, table1_report,
+    verify_security_with, ExperimentError, FaultPlan, JobPolicy, Needs, Report, RunOptions,
+    RunSpec, Simulated,
 };
 use sb_uarch::CoreConfig;
 use std::path::{Path, PathBuf};
@@ -125,7 +128,7 @@ const USAGE: &str =
      \x20  ranges, base=small|medium|large|mega|gem5-stt|gem5-nda, preset=boom|gem5,\n\
      \x20  scheme=all|secure|<list>, threat=spectre|futuristic|both, replicates=N\n\
      traces are cached under target/trace-cache/ (SB_TRACE_CACHE=0 or --no-trace-cache disables)\n\
-     grid stats are cached under target/stats-cache/ (SB_STATS_CACHE=0 disables; --resume reads \
+     simulation stats are cached under target/stats-cache/ (SB_STATS_CACHE=0 disables; --resume reads \
      them back)\n\
      fault spec: comma-separated panic@I | overrun@I | corrupt-stats@I (also via SB_FAULT_INJECT)";
 
@@ -713,16 +716,31 @@ fn main() {
     let all = args.experiments.iter().any(|e| e == "all");
     let wants = |name: &str| all || args.experiments.iter().any(|e| e == name);
 
-    let needs_grid = [
-        "table1", "fig6", "fig7", "fig8", "fig10", "table3", "fig1", "table5",
-    ]
-    .iter()
-    .any(|e| wants(e));
+    let needs = Needs {
+        grid: [
+            "table1", "fig6", "fig7", "fig8", "fig10", "table3", "fig1", "table5",
+        ]
+        .iter()
+        .any(|e| wants(e)),
+        table4: wants("table4"),
+        table5: wants("table5"),
+        sec92: wants("sec92"),
+    };
     let mut degraded = false;
     let configs = CoreConfig::boom_sweep();
-    let grid: Option<GridResults> = needs_grid.then(|| {
+    let sim: Option<Simulated> = (needs != Needs::default()).then(|| {
+        let parts: Vec<&str> = [
+            (needs.grid, "grid (4 configs x 4 schemes x 22 benchmarks)"),
+            (needs.table4, "table4"),
+            (needs.table5, "table5"),
+            (needs.sec92, "sec92"),
+        ]
+        .into_iter()
+        .filter_map(|(on, part)| on.then_some(part))
+        .collect();
         eprintln!(
-            "running grid: 4 configs x 4 schemes x 22 benchmarks, {} uops each{}...",
+            "running {}, {} uops each{}...",
+            parts.join(" + "),
             args.spec.ops,
             if args.resume { " (resume)" } else { "" }
         );
@@ -731,9 +749,9 @@ fn main() {
             resume: args.resume,
             ..RunOptions::default()
         };
-        let (grid, run) = run_grid_with(&configs, &args.spec, &opts);
+        let (sim, run) = simulate(&configs, needs, &args.spec, &opts);
         eprintln!(
-            "grid: {} simulated, {} from cache, {} of {} failed",
+            "points: {} simulated, {} from cache, {} of {} failed",
             run.simulated,
             run.from_cache,
             run.failures.len(),
@@ -743,11 +761,12 @@ fn main() {
             eprint!("{}", run.render_failures());
             degraded = true;
         }
-        grid
+        sim
     });
-    let grid = grid.as_ref();
+    let sim = sim.as_ref();
+    let grid = sim.map(Simulated::grid);
 
-    // Each report renders independently: a grid degraded by failed jobs
+    // Each report renders independently: a run degraded by failed jobs
     // takes down only the reports whose data is missing; the rest still
     // print and write their CSVs.
     let mut reports: Vec<Report> = Vec::new();
@@ -778,13 +797,13 @@ fn main() {
         push("table3", fig1_table3_report(grid.expect("grid"), &configs));
     }
     if wants("table4") {
-        push("table4", Ok(table4_report(&args.spec)));
+        push("table4", sim.expect("points").table4());
     }
     if wants("table5") {
-        push("table5", table5_report(grid.expect("grid"), &args.spec));
+        push("table5", sim.expect("points").table5());
     }
     if wants("sec92") {
-        push("sec92", Ok(sec92_report(&args.spec)));
+        push("sec92", sim.expect("points").sec92());
     }
     if wants("security") {
         push("security", Ok(security_report()));

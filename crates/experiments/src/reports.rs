@@ -2,12 +2,22 @@
 //! reproduction next to the paper's published numbers so shape fidelity is
 //! visible at a glance. Every report also emits CSV for downstream
 //! plotting.
+//!
+//! Reports never simulate for themselves. The grid reports render a
+//! [`GridResults`]; Table 4, Table 5 and §9.2 name the points they read,
+//! and [`simulate`] runs those together with the grid as one job list
+//! ([`run_points`]). `table4_report`, `table5_report` and `sec92_report`
+//! are the single-report entry points: each runs only its own points
+//! through the same job list, then calls the same renderer.
 
-use crate::engine::{run_bench, ExperimentError, GridResults, RunSpec};
+use crate::engine::{
+    grid_points, run_points, ExperimentError, GridResults, Point, PointResults, RunOptions,
+    RunReport, RunSpec,
+};
 use crate::render::{bar, format_table};
 use sb_core::{Scheme, SchemeConfig};
 use sb_mem::SideChannelObserver;
-use sb_stats::{LinearFit, TrendPoint};
+use sb_stats::{BenchResult, LinearFit, TrendPoint};
 use sb_timing::{area_estimate, frequency_mhz, relative_power, relative_timing, ActivityProfile};
 use sb_uarch::{Core, CoreConfig};
 use sb_workloads::{spec2017_profiles, spectre_v1_kernel, ssb_kernel, PROBE_BASE, PROBE_STRIDE};
@@ -408,10 +418,140 @@ pub fn fig1_table3_report(
     })
 }
 
+/// The outputs a run renders from simulations: the grid, and the three
+/// reports that read points of their own.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Needs {
+    /// The (config × scheme × benchmark) grid over the run's configs.
+    pub grid: bool,
+    /// Table 4's measured activity points.
+    pub table4: bool,
+    /// Table 5's gem5-like suites (its BOOM rows read the grid).
+    pub table5: bool,
+    /// §9.2's exchange2 points and split-store ablation.
+    pub sec92: bool,
+}
+
+/// Everything one [`simulate`] call ran, ready to render.
+#[derive(Debug)]
+pub struct Simulated {
+    grid: GridResults,
+    points: PointResults,
+    spec: RunSpec,
+}
+
+impl Simulated {
+    /// The grid (empty unless [`Needs::grid`] was set).
+    #[must_use]
+    pub fn grid(&self) -> &GridResults {
+        &self.grid
+    }
+
+    /// Table 4 from the simulated points.
+    ///
+    /// # Errors
+    ///
+    /// [`ExperimentError::MissingPoint`] for a point whose job failed.
+    pub fn table4(&self) -> Result<Report, ExperimentError> {
+        render_table4(&self.points, &self.spec)
+    }
+
+    /// Table 5 from the grid and the gem5-like points.
+    ///
+    /// # Errors
+    ///
+    /// Grid-lookup failures and [`ExperimentError::MissingPoint`].
+    pub fn table5(&self) -> Result<Report, ExperimentError> {
+        render_table5(&self.grid, &self.points, &self.spec)
+    }
+
+    /// §9.2 from the simulated points.
+    ///
+    /// # Errors
+    ///
+    /// [`ExperimentError::MissingPoint`] for a point whose job failed.
+    pub fn sec92(&self) -> Result<Report, ExperimentError> {
+        render_sec92(&self.points, &self.spec)
+    }
+}
+
+/// Runs every point the needed outputs read as one job list
+/// (`run_points`): the grid first, in its own order, then Table 4's,
+/// Table 5's and §9.2's points. A point two outputs share (Table 4's and
+/// §9.2's Mega points are grid points) runs once.
+#[must_use]
+pub fn simulate(
+    configs: &[CoreConfig],
+    needs: Needs,
+    spec: &RunSpec,
+    opts: &RunOptions,
+) -> (Simulated, RunReport) {
+    let mut points = Vec::new();
+    if needs.grid {
+        points.extend(grid_points(configs, spec));
+    }
+    if needs.table4 {
+        points.extend(table4_points(spec));
+    }
+    if needs.table5 {
+        points.extend(table5_points(spec));
+    }
+    if needs.sec92 {
+        points.extend(sec92_points(spec));
+    }
+    let (results, report) = run_points(points, spec, opts);
+    let grid = if needs.grid {
+        GridResults::from_points(configs, &results, spec)
+    } else {
+        GridResults::default()
+    };
+    let sim = Simulated {
+        grid,
+        points: results,
+        spec: spec.clone(),
+    };
+    (sim, report)
+}
+
+/// Runs only `needs`' points, with the default options, for the
+/// single-report entry points.
+fn simulate_alone(needs: Needs, spec: &RunSpec) -> Simulated {
+    simulate(&[], needs, spec, &RunOptions::default()).0
+}
+
+/// Table 4's benchmark mix (mcf, imagick, exchange2): indexes into
+/// [`spec2017_profiles`].
+const TABLE4_MIX: [usize; 3] = [3, 15, 18];
+
+/// Table 4's points: Mega × each secure scheme × the mix, scheme-major.
+fn table4_points(spec: &RunSpec) -> Vec<Point> {
+    let mega = CoreConfig::mega();
+    let profiles = spec2017_profiles();
+    Scheme::secure()
+        .into_iter()
+        .flat_map(|scheme| TABLE4_MIX.map(|b| Point::bench(&mega, scheme, &profiles[b], spec)))
+        .collect()
+}
+
 /// Table 4: area (LUT/FF) and power relative to baseline at the Mega
 /// configuration, with measured switching activity from the simulator.
+///
+/// # Panics
+///
+/// Panics if one of its points fails to simulate; [`simulate`] reports
+/// the same failure as a typed job error instead.
 #[must_use]
 pub fn table4_report(spec: &RunSpec) -> Report {
+    let needs = Needs {
+        table4: true,
+        ..Needs::default()
+    };
+    simulate_alone(needs, spec)
+        .table4()
+        .unwrap_or_else(|e| panic!("table4: {e}"))
+}
+
+fn render_table4(results: &PointResults, spec: &RunSpec) -> Result<Report, ExperimentError> {
     let mega = CoreConfig::mega();
     let base_area = area_estimate(&mega, Scheme::Baseline);
     let paper = [
@@ -429,15 +569,17 @@ pub fn table4_report(spec: &RunSpec) -> Report {
     let mut csv = String::from("scheme,lut_rel,ff_rel,power_rel\n");
     // Measured activity on a representative benchmark mix refines the
     // typical per-scheme activity profile.
-    let profiles = spec2017_profiles();
-    let mix = [&profiles[3], &profiles[15], &profiles[18]]; // mcf, imagick, exchange2
-    for (scheme, (pl, pf, pp)) in Scheme::secure().into_iter().zip(paper) {
+    let points = table4_points(spec);
+    for ((scheme, (pl, pf, pp)), mix) in Scheme::secure()
+        .into_iter()
+        .zip(paper)
+        .zip(points.chunks(TABLE4_MIX.len()))
+    {
         let (l, f) = area_estimate(&mega, scheme).relative_to(&base_area);
         let mut act = ActivityProfile::typical(scheme);
         let mut measured = 0.0;
-        for p in mix {
-            let (_, stats) = run_bench(&mega, scheme, p, spec);
-            measured += ActivityProfile::from_stats(&stats).issue_rate;
+        for point in mix {
+            measured += ActivityProfile::from_stats(results.get(point)?).issue_rate;
         }
         act.issue_rate = 0.5 * act.issue_rate + 0.5 * (measured / mix.len() as f64).min(1.2);
         let p = relative_power(&mega, scheme, &act);
@@ -454,10 +596,37 @@ pub fn table4_report(spec: &RunSpec) -> Report {
         "Table 4: area and power at 50 MHz, normalized to baseline (Mega)\n{}",
         format_table(&rows)
     );
-    Report {
+    Ok(Report {
         text,
         csv: vec![("table4.csv".into(), csv)],
+    })
+}
+
+/// Table 5's gem5-like suites: `(config, secure scheme, paper loss, row
+/// label)`. Each suite runs against its own Baseline.
+fn gem5_suites() -> [(CoreConfig, Scheme, f64, &'static str); 2] {
+    [
+        (
+            CoreConfig::gem5_stt(),
+            Scheme::SttRename,
+            17.2,
+            "gem5 (STT cfg)",
+        ),
+        (CoreConfig::gem5_nda(), Scheme::Nda, 13.0, "gem5 (NDA cfg)"),
+    ]
+}
+
+/// Table 5's own points: for each gem5-like suite, Baseline then its
+/// scheme, over every benchmark.
+fn table5_points(spec: &RunSpec) -> Vec<Point> {
+    let profiles = spec2017_profiles();
+    let mut points = Vec::new();
+    for (config, scheme, _, _) in gem5_suites() {
+        for s in [Scheme::Baseline, scheme] {
+            points.extend(profiles.iter().map(|p| Point::bench(&config, s, p, spec)));
+        }
     }
+    points
 }
 
 /// Table 5: IPC loss on Medium/Large/Mega (RTL fidelity) against gem5-like
@@ -465,8 +634,21 @@ pub fn table4_report(spec: &RunSpec) -> Report {
 ///
 /// # Errors
 ///
-/// Propagates grid-lookup failures.
+/// Propagates grid-lookup failures, and [`ExperimentError::MissingPoint`]
+/// for a gem5-like point that failed to simulate.
 pub fn table5_report(grid: &GridResults, spec: &RunSpec) -> Result<Report, ExperimentError> {
+    let needs = Needs {
+        table5: true,
+        ..Needs::default()
+    };
+    render_table5(grid, &simulate_alone(needs, spec).points, spec)
+}
+
+fn render_table5(
+    grid: &GridResults,
+    results: &PointResults,
+    spec: &RunSpec,
+) -> Result<Report, ExperimentError> {
     let paper: [(&str, f64, f64, f64); 3] = [
         ("medium", 7.3, 6.4, 10.7),
         ("large", 11.3, 10.0, 18.6),
@@ -501,19 +683,16 @@ pub fn table5_report(grid: &GridResults, spec: &RunSpec) -> Result<Report, Exper
         ));
     }
     // gem5-like rows: abstract fidelity, the original papers' configs.
-    let gem5_points = [
-        (
-            CoreConfig::gem5_stt(),
-            Scheme::SttRename,
-            17.2,
-            "gem5 (STT cfg)",
-        ),
-        (CoreConfig::gem5_nda(), Scheme::Nda, 13.0, "gem5 (NDA cfg)"),
-    ];
-    for (config, scheme, paper_loss, label) in gem5_points {
-        let base = crate::engine::run_suite(&config, Scheme::Baseline, spec);
-        let sch = crate::engine::run_suite(&config, scheme, spec);
-        let summary = sb_stats::SuiteSummary::new(base, sch);
+    let points = table5_points(spec);
+    let suite_len = spec2017_profiles().len();
+    let rows_of = |suite: &[Point]| -> Result<Vec<BenchResult>, ExperimentError> {
+        suite.iter().map(|p| Ok(p.row(results.get(p)?))).collect()
+    };
+    for ((config, scheme, paper_loss, label), pair) in
+        gem5_suites().into_iter().zip(points.chunks(2 * suite_len))
+    {
+        let (base, sch) = pair.split_at(suite_len);
+        let summary = sb_stats::SuiteSummary::new(rows_of(base)?, rows_of(sch)?);
         let ipc = summary.baseline_ipc();
         let loss = summary.ipc_loss_percent();
         rows.push(vec![
@@ -545,15 +724,53 @@ pub fn table5_report(grid: &GridResults, spec: &RunSpec) -> Result<Report, Exper
     })
 }
 
-/// §9.2: the exchange2 pathology — store-to-load forwarding errors per
-/// scheme, and the split-store-taint ablation.
-#[must_use]
-pub fn sec92_report(spec: &RunSpec) -> Report {
+/// §9.2's points: exchange2 on Mega under every scheme, then the
+/// split-store-taint ablation of STT-Rename on a trace of its own seed.
+fn sec92_points(spec: &RunSpec) -> Vec<Point> {
     let mega = CoreConfig::mega();
     let exchange2 = *spec2017_profiles()
         .iter()
         .find(|p| p.name.contains("exchange2"))
         .expect("profile exists");
+    let mut points: Vec<Point> = [
+        Scheme::Baseline,
+        Scheme::Nda,
+        Scheme::SttIssue,
+        Scheme::SttRename,
+    ]
+    .into_iter()
+    .map(|scheme| Point::bench(&mega, scheme, &exchange2, spec))
+    .collect();
+    let mut split = SchemeConfig::rtl(Scheme::SttRename, mega.mem_ports);
+    split.split_store_taints = true;
+    points.push(Point {
+        config: mega,
+        scheme: split,
+        profile: exchange2,
+        seed: spec.seed ^ 0x9292,
+    });
+    points
+}
+
+/// §9.2: the exchange2 pathology — store-to-load forwarding errors per
+/// scheme, and the split-store-taint ablation.
+///
+/// # Panics
+///
+/// Panics if one of its points fails to simulate; [`simulate`] reports
+/// the same failure as a typed job error instead.
+#[must_use]
+pub fn sec92_report(spec: &RunSpec) -> Report {
+    let needs = Needs {
+        sec92: true,
+        ..Needs::default()
+    };
+    simulate_alone(needs, spec)
+        .sec92()
+        .unwrap_or_else(|e| panic!("sec92: {e}"))
+}
+
+fn render_sec92(results: &PointResults, spec: &RunSpec) -> Result<Report, ExperimentError> {
     let mut rows = vec![vec![
         "Scheme".to_string(),
         "IPC".into(),
@@ -563,17 +780,15 @@ pub fn sec92_report(spec: &RunSpec) -> Report {
     let mut csv = String::from("scheme,ipc,fwd_errors\n");
     let mut nda_errors = 1u64;
     let mut entries = Vec::new();
-    for scheme in [
-        Scheme::Baseline,
-        Scheme::Nda,
-        Scheme::SttIssue,
-        Scheme::SttRename,
-    ] {
-        let (row, stats) = run_bench(&mega, scheme, &exchange2, spec);
+    let points = sec92_points(spec);
+    let (split_point, scheme_points) = points.split_last().expect("sec92 has points");
+    for point in scheme_points {
+        let stats = results.get(point)?;
+        let scheme = point.scheme.scheme;
         if scheme == Scheme::Nda {
             nda_errors = stats.forwarding_errors.get().max(1);
         }
-        entries.push((scheme, row.ipc(), stats.forwarding_errors.get()));
+        entries.push((scheme, stats.ipc(), stats.forwarding_errors.get()));
     }
     for (scheme, ipc, errs) in &entries {
         rows.push(vec![
@@ -585,31 +800,27 @@ pub fn sec92_report(spec: &RunSpec) -> Report {
         csv.push_str(&format!("{scheme},{ipc:.4},{errs}\n"));
     }
     // Ablation: §9.2's proposed split-store optimization for STT-Rename.
-    let mut cfg92 = SchemeConfig::rtl(Scheme::SttRename, mega.mem_ports);
-    cfg92.split_store_taints = true;
-    let trace = sb_workloads::generate(&exchange2, spec.ops, spec.seed ^ 0x9292);
-    let mut split = Core::new(mega, cfg92, trace);
-    split.run(400_000_000);
-    let split_errs = split.stats().forwarding_errors.get();
+    let split = results.get(split_point)?;
+    let split_errs = split.forwarding_errors.get();
     rows.push(vec![
         "STT-Rename+split".to_string(),
-        format!("{:.3}", split.stats().ipc()),
+        format!("{:.3}", split.ipc()),
         split_errs.to_string(),
         format!("{:.0}x", split_errs as f64 / nda_errors as f64),
     ]);
     csv.push_str(&format!(
         "stt-rename-split,{:.4},{split_errs}\n",
-        split.stats().ipc()
+        split.ipc()
     ));
     let text = format!(
         "Section 9.2: exchange2 store-to-load forwarding errors (paper: \
          STT-Rename has ~1350x NDA's count; NDA IPC 1.77 vs STT-Rename 1.44)\n{}",
         format_table(&rows)
     );
-    Report {
+    Ok(Report {
         text,
         csv: vec![("sec92.csv".into(), csv)],
-    }
+    })
 }
 
 /// §7's security check: Spectre v1 and SSB kernels across all schemes.

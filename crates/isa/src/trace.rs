@@ -14,6 +14,7 @@
 use crate::op::MicroOp;
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// Micro-ops fetched down the wrong path after a mispredicted branch, until
 /// the branch resolves and squashes them.
@@ -24,6 +25,10 @@ pub struct WrongPathBlock {
 }
 
 /// A complete dynamic micro-op trace for one workload.
+///
+/// A trace is an immutable shared value: its name, micro-ops and
+/// wrong-path blocks sit behind one reference count, so a clone (one per
+/// simulated core) is a counter bump rather than a copy of the stream.
 ///
 /// # Example
 ///
@@ -40,6 +45,11 @@ pub struct WrongPathBlock {
 /// ```
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Trace {
+    inner: Arc<TraceData>,
+}
+
+#[derive(Debug, Default, PartialEq)]
+struct TraceData {
     name: String,
     ops: Vec<MicroOp>,
     wrong_paths: HashMap<usize, WrongPathBlock>,
@@ -54,28 +64,30 @@ impl Trace {
         wrong_paths: HashMap<usize, WrongPathBlock>,
     ) -> Self {
         Trace {
-            name: name.into(),
-            ops,
-            wrong_paths,
+            inner: Arc::new(TraceData {
+                name: name.into(),
+                ops,
+                wrong_paths,
+            }),
         }
     }
 
     /// Workload name (used in reports).
     #[must_use]
     pub fn name(&self) -> &str {
-        &self.name
+        &self.inner.name
     }
 
     /// Number of dynamic micro-ops.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.ops.len()
+        self.inner.ops.len()
     }
 
     /// Whether the trace has no micro-ops.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
+        self.inner.ops.is_empty()
     }
 
     /// The micro-op at trace index `idx`.
@@ -85,47 +97,47 @@ impl Trace {
     /// Panics if `idx >= self.len()`.
     #[must_use]
     pub fn op(&self, idx: usize) -> &MicroOp {
-        &self.ops[idx]
+        &self.inner.ops[idx]
     }
 
     /// The micro-op at trace index `idx`, if in range.
     #[must_use]
     pub fn get(&self, idx: usize) -> Option<&MicroOp> {
-        self.ops.get(idx)
+        self.inner.ops.get(idx)
     }
 
     /// The wrong-path block attached to the (mispredicted branch) micro-op at
     /// `idx`, if any.
     #[must_use]
     pub fn wrong_path(&self, idx: usize) -> Option<&WrongPathBlock> {
-        self.wrong_paths.get(&idx)
+        self.inner.wrong_paths.get(&idx)
     }
 
     /// Iterates over the correct-path micro-ops.
     pub fn iter(&self) -> std::slice::Iter<'_, MicroOp> {
-        self.ops.iter()
+        self.inner.ops.iter()
     }
 
     /// Iterates over all wrong-path blocks as `(branch index, block)` pairs,
     /// in unspecified order (sort by index for a canonical serialization).
     pub fn wrong_paths(&self) -> impl Iterator<Item = (usize, &WrongPathBlock)> {
-        self.wrong_paths.iter().map(|(&i, b)| (i, b))
+        self.inner.wrong_paths.iter().map(|(&i, b)| (i, b))
     }
 
     /// Fraction of ops in the trace matching a predicate — handy for
     /// validating generated workload mixes.
     #[must_use]
     pub fn fraction(&self, pred: impl Fn(&MicroOp) -> bool) -> f64 {
-        if self.ops.is_empty() {
+        if self.inner.ops.is_empty() {
             return 0.0;
         }
-        self.ops.iter().filter(|o| pred(o)).count() as f64 / self.ops.len() as f64
+        self.inner.ops.iter().filter(|o| pred(o)).count() as f64 / self.inner.ops.len() as f64
     }
 }
 
 impl fmt::Display for Trace {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} ({} uops)", self.name, self.ops.len())
+        write!(f, "{} ({} uops)", self.inner.name, self.inner.ops.len())
     }
 }
 
@@ -258,11 +270,7 @@ impl TraceBuilder {
     /// Finalizes the trace.
     #[must_use]
     pub fn build(self) -> Trace {
-        Trace {
-            name: self.name,
-            ops: self.ops,
-            wrong_paths: self.wrong_paths,
-        }
+        Trace::from_parts(self.name, self.ops, self.wrong_paths)
     }
 }
 

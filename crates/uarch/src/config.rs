@@ -1,6 +1,7 @@
 //! Core configurations: the paper's four BOOM design points (Table 1) plus
 //! the gem5-like configurations of §8.6, and the fidelity knob of §9.5.
 
+use sb_core::{Scheme, SchemeConfig};
 use sb_mem::HierarchyConfig;
 use std::fmt;
 
@@ -306,6 +307,17 @@ impl CoreConfig {
             fidelity: Fidelity::Abstract,
             scheduler: SchedulerKind::EventWheel,
             predictor: PredictorConfig::disabled(),
+        }
+    }
+
+    /// The scheme configuration `scheme` runs under on this core by
+    /// default: bounded broadcast at RTL fidelity, the idealized network
+    /// and split store taints at abstract fidelity.
+    #[must_use]
+    pub fn scheme_config(&self, scheme: Scheme) -> SchemeConfig {
+        match self.fidelity {
+            Fidelity::Rtl => SchemeConfig::rtl(scheme, self.mem_ports),
+            Fidelity::Abstract => SchemeConfig::abstract_sim(scheme),
         }
     }
 

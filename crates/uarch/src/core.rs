@@ -52,9 +52,10 @@
 //! # Modelled behaviours
 //!
 //! Notable modelled behaviours, each traceable to a paper section:
-//! * STT-Rename computes YRoTs for a whole dispatch group through the
-//!   same-cycle chain (§4.1, Figure 3) and gates transmitters on untaint
-//!   *broadcasts*, which lag the visibility point by a cycle (§9.1).
+//! * STT-Rename computes YRoTs through the same-cycle chain of the
+//!   dispatch group (§4.1, Figure 3), one step per op as dispatch renames
+//!   it oldest-first, and gates transmitters on untaint *broadcasts*,
+//!   which lag the visibility point by a cycle (§9.1).
 //! * STT-Issue computes YRoTs live at select; a tainted transmitter wastes
 //!   its issue slot as a nop (§4.3 step 4) and is masked until broadcast.
 //! * Stores are unified micro-ops that can partially issue; under
@@ -76,7 +77,7 @@
 //!   MSHR/port-contention scenario decodes. Observation never perturbs
 //!   timing or statistics.
 
-use crate::config::{CoreConfig, Fidelity, SchedulerKind};
+use crate::config::{CoreConfig, SchedulerKind};
 use crate::frontend::{Fetched, Frontend};
 use crate::inst::{ColdInst, HotInst, Phase};
 use crate::memdep::MemDepPredictor;
@@ -283,8 +284,6 @@ pub struct Core {
     /// Event-wheel bookkeeping (unused in reference mode).
     sched: SchedState,
     unpark_scratch: Vec<PartRef>,
-    group_scratch: Vec<usize>,
-    rename_ops_scratch: Vec<RenameGroupOp>,
     nda_scratch: Vec<(Seq, PhysReg)>,
     /// Arrival indexes of in-flight loads, oldest first (the LQ), at
     /// monotone positions (each load records the SQ tail in its
@@ -357,8 +356,6 @@ impl Core {
             },
             sched: SchedState::new(config.phys_regs, config.rob_entries),
             unpark_scratch: Vec::new(),
-            group_scratch: Vec::new(),
-            rename_ops_scratch: Vec::new(),
             nda_scratch: Vec::new(),
             lq: ArrivalRing::new(config.lq_entries),
             sq: ArrivalRing::new(config.sq_entries),
@@ -382,10 +379,7 @@ impl Core {
     /// config for abstract-fidelity cores.
     #[must_use]
     pub fn with_scheme(config: CoreConfig, scheme: Scheme, trace: Trace) -> Self {
-        let scheme_cfg = match config.fidelity {
-            Fidelity::Rtl => SchemeConfig::rtl(scheme, config.mem_ports),
-            Fidelity::Abstract => SchemeConfig::abstract_sim(scheme),
-        };
+        let scheme_cfg = config.scheme_config(scheme);
         Core::new(config, scheme_cfg, trace)
     }
 
@@ -1853,9 +1847,10 @@ impl Core {
             // nothing below would run and no stall counter increments.
             return;
         }
-        // ROB indices dispatched this cycle (recycled buffer).
-        let mut group = std::mem::take(&mut self.group_scratch);
-        group.clear();
+        if scheme == Scheme::SttRename {
+            self.rename_taint.begin_group();
+        }
+        let mut dispatched = 0;
         let mut blocked_by_brtag = false;
         let mut blocked_by_resource = false;
 
@@ -1930,7 +1925,6 @@ impl Core {
             // Construct the entry in place in the arena slot (everything
             // below writes through the slot references; only container
             // fields disjoint from the ROB are touched meanwhile).
-            let idx = self.rob.len();
             let (handle, inst, cold) = self.rob.alloc();
             let arrival = handle.arrival;
             *inst = HotInst::new(seq, op, wrong_path);
@@ -1995,9 +1989,42 @@ impl Core {
                 _ => {}
             }
 
+            // STT-Rename: this op's step of the same-cycle YRoT chain
+            // (§4.1, Figure 3). The group renames oldest-first, so the
+            // walk is the chain itself. Shadows cast by younger ops of
+            // the group cannot move the frontier below an older seq, so
+            // the speculation and liveness answers here are the ones the
+            // whole group would see after dispatch.
+            if scheme == Scheme::SttRename {
+                let speculative = self.tracker.is_speculative(seq);
+                let tracker = &self.tracker;
+                let out = self.rename_taint.rename_op(
+                    &RenameGroupOp {
+                        seq,
+                        srcs: [
+                            op.src1.filter(|r| !r.is_zero()),
+                            op.src2.filter(|r| !r.is_zero()),
+                        ],
+                        dst: op.dest(),
+                        is_load: op.is_load(),
+                        speculative,
+                    },
+                    |root| tracker.taint_live(root),
+                );
+                if let Some(root) = out.yrot {
+                    inst.set_yrot(root);
+                    self.stats.taints_applied.incr();
+                }
+                if speculative && op.is_load() {
+                    inst.set_spec_source(true);
+                }
+                cold.set_split_yrots(out.addr_yrot, out.data_yrot);
+                cold.set_prev_taint(out.prev_dst_taint);
+            }
+
             let srcs = inst.src_pregs();
             self.iq_count += 1;
-            group.push(idx);
+            dispatched += 1;
             self.dep_adjust(srcs, 1);
 
             // Event wheel: route every schedulable part to its first
@@ -2024,57 +2051,13 @@ impl Core {
             }
         }
 
-        if group.is_empty() {
+        if dispatched == 0 {
             if blocked_by_brtag {
                 self.stats.checkpoint_stalls.incr();
             } else if blocked_by_resource {
                 self.stats.dispatch_stalls.incr();
             }
-            self.group_scratch = group;
-            return;
         }
-
-        // STT-Rename: the same-cycle YRoT chain over the dispatch group
-        // (§4.1, Figure 3).
-        if scheme == Scheme::SttRename {
-            let mut ops = std::mem::take(&mut self.rename_ops_scratch);
-            ops.clear();
-            ops.extend(group.iter().map(|&i| {
-                let seq = self.rob.hot(i).seq;
-                let op = &self.rob.cold(i).op;
-                RenameGroupOp {
-                    seq,
-                    srcs: [
-                        op.src1.filter(|r| !r.is_zero()),
-                        op.src2.filter(|r| !r.is_zero()),
-                    ],
-                    dst: op.dest(),
-                    is_load: op.is_load(),
-                    speculative: self.tracker.is_speculative(seq),
-                }
-            }));
-            let tracker = &self.tracker;
-            let outcomes = self
-                .rename_taint
-                .rename_group(&ops, |root| tracker.taint_live(root));
-            for ((&i, op), out) in group.iter().zip(&ops).zip(&outcomes) {
-                let inst = self.rob.hot_mut(i);
-                if let Some(root) = out.yrot {
-                    inst.set_yrot(root);
-                }
-                if inst.is_load() && op.speculative {
-                    inst.set_spec_source(true);
-                }
-                let cold = self.rob.cold_mut(i);
-                cold.set_split_yrots(out.addr_yrot, out.data_yrot);
-                cold.set_prev_taint(out.prev_dst_taint);
-                if out.yrot.is_some() {
-                    self.stats.taints_applied.incr();
-                }
-            }
-            self.rename_ops_scratch = ops;
-        }
-        self.group_scratch = group;
     }
 
     // ------------------------------------------------------------------

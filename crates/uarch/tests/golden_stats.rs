@@ -61,11 +61,7 @@ fn assert_golden(config: &CoreConfig, scheme_cfg: SchemeConfig, trace: &sb_isa::
 fn scheme_variants(config: &CoreConfig) -> Vec<(String, SchemeConfig)> {
     let mut out = Vec::new();
     for scheme in Scheme::all() {
-        let cfg = match config.fidelity {
-            sb_uarch::Fidelity::Rtl => SchemeConfig::rtl(scheme, config.mem_ports),
-            sb_uarch::Fidelity::Abstract => SchemeConfig::abstract_sim(scheme),
-        };
-        out.push((scheme.to_string(), cfg));
+        out.push((scheme.to_string(), config.scheme_config(scheme)));
     }
     // The fifth evaluated variant: STT-Rename with the §9.2 split-store
     // ablation, which exercises the per-part taint parking paths.
