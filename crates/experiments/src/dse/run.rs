@@ -1,23 +1,23 @@
 //! Sweep execution: every `(config, scheme, threat) × replicate ×
-//! benchmark` job flattened over the fault-tolerant pool, memoized in the
-//! stats store.
+//! benchmark` point run as one [`crate::engine::run_points`] job list —
+//! the grid's fault-tolerant, memoized path.
 //!
-//! The memo key covers *every* swept axis: the configuration fingerprint
-//! (all result-determining knobs), the scheme and threat-model tags, and
-//! the replicate-derived seed. A warm `--resume` re-run of an identical
-//! sweep therefore performs zero simulations, and two sweeps that share
-//! design points share their cache entries.
+//! Points key the stats store the way the grid does: a point at its
+//! configuration's default scheme configuration (the Spectre threat
+//! model) shares its entry with the grid point of the same configuration,
+//! scheme, benchmark and seed; any other threat model folds into the key.
+//! A warm `--resume` re-run of an identical sweep therefore performs zero
+//! simulations, and a one-replicate sweep over a grid configuration is
+//! served by a grid run's entries.
 
 use super::spec::{SpecError, SweepPoint, SweepSpec};
-use crate::engine::{bench_seed, bench_trace, run_scheme_cfg_cancellable, RunReport, RunSpec};
-use crate::jobs;
+use crate::engine::{bench_seed, run_points, Point, RunReport, RunSpec};
 use crate::stats_store::{combine_fp, tag_fp};
 use crate::RunOptions;
 use sb_core::{Scheme, ThreatModel};
 use sb_stats::BenchResult;
 use sb_uarch::CoreConfig;
 use sb_workloads::spec2017_profiles;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Golden-ratio stride that spreads replicate seeds across the u64 space;
 /// replicate 0 keeps the base seed, so a 1-replicate sweep is seeded
@@ -30,9 +30,9 @@ pub fn replicate_seed(base: u64, r: usize) -> u64 {
     base ^ (r as u64).wrapping_mul(REPLICATE_STRIDE)
 }
 
-/// The stats-store fingerprint of one design point (configuration knobs +
-/// scheme + threat model). Also the row identity in manifests and the
-/// bootstrap seed, so leaderboard CIs are deterministic per point.
+/// The identity of one design point (configuration knobs + scheme +
+/// threat model): the row identity in manifests and the bootstrap seed,
+/// so leaderboard CIs are deterministic per point.
 #[must_use]
 pub fn point_fingerprint(config: &CoreConfig, scheme: Scheme, threat: ThreatModel) -> u64 {
     combine_fp([
@@ -80,8 +80,9 @@ pub struct SweepOutcome {
 }
 
 /// Runs a sweep: expands the spec, flattens `points × replicates ×
-/// benchmarks` into one job list, and executes it under `opts` exactly
-/// like the paper grid — panic isolation, deadlines, budget, resume.
+/// benchmarks` into one job list, and runs it under `opts` through the
+/// grid's own job-list function — panic isolation, deadlines, budget,
+/// resume.
 ///
 /// # Errors
 ///
@@ -97,7 +98,6 @@ pub fn run_sweep(
     let reps = spec.replicates();
     let profiles = spec2017_profiles();
     let n_b = profiles.len();
-    let jobs_n = points.len() * reps * n_b;
     // Per-replicate run specs: replicate seeds are derived, everything
     // else matches the base run.
     let rep_specs: Vec<RunSpec> = (0..reps)
@@ -106,110 +106,48 @@ pub fn run_sweep(
             seed: replicate_seed(run.seed, r),
         })
         .collect();
-    let decompose = |k: usize| -> (usize, usize, usize) {
-        // k = (i * reps + r) * n_b + b
-        (k / (reps * n_b), (k / n_b) % reps, k % n_b)
-    };
-    let labels: Vec<String> = (0..jobs_n)
-        .map(|k| {
-            let (i, r, b) = decompose(k);
-            let p = &points[i];
-            format!(
-                "{}/{}/{}/r{r}/{}",
-                p.config.name,
-                p.scheme,
-                p.threat.label(),
-                profiles[b].name
-            )
-        })
-        .collect();
-    let keys: Vec<(u64, u64)> = (0..jobs_n)
-        .map(|k| {
-            let (i, r, b) = decompose(k);
-            let p = &points[i];
-            let profile = &profiles[b];
-            let fp = combine_fp([
-                p.config.fingerprint(),
-                tag_fp(&p.scheme.to_string()),
-                tag_fp(&p.threat.to_string()),
-                profile.fingerprint(),
-            ]);
-            (bench_seed(profile, &rep_specs[r]), fp)
-        })
-        .collect();
-    // Traces depend on (replicate, benchmark) only — share one slot per
-    // pair across all design points; a fully-cached resume generates none.
-    let traces: Vec<std::sync::OnceLock<sb_isa::Trace>> = (0..reps * n_b)
-        .map(|_| std::sync::OnceLock::new())
-        .collect();
-    let simulated = AtomicUsize::new(0);
-    let from_cache = AtomicUsize::new(0);
-    let report = jobs::run_batch(&labels, &opts.policy, |ctx| {
-        let k = ctx.index;
-        let (i, r, b) = decompose(k);
-        let p = &points[i];
-        let profile = &profiles[b];
-        let (seed, fp) = keys[k];
-        if opts.resume {
-            if let Some(store) = &opts.store {
-                if let Some(stats) = store.load(profile.name, run.ops, seed, fp) {
-                    from_cache.fetch_add(1, Ordering::Relaxed);
-                    return Ok(BenchResult::new(
-                        profile.name,
-                        stats.committed.get(),
-                        stats.cycles.get(),
-                    ));
-                }
-            }
+    // Job k = (i * reps + r) * n_b + b, the order `--inject-faults` names.
+    let mut jobs = Vec::with_capacity(points.len() * reps * n_b);
+    for p in &points {
+        let scheme = p.config.scheme_config(p.scheme).with_threat_model(p.threat);
+        for rep in &rep_specs {
+            jobs.extend(profiles.iter().map(|profile| Point {
+                config: p.config.clone(),
+                scheme,
+                profile: *profile,
+                seed: bench_seed(profile, rep),
+            }));
         }
-        let trace = traces[r * n_b + b]
-            .get_or_init(|| bench_trace(profile, &rep_specs[r]))
-            .clone();
-        let scheme_cfg = p.config.scheme_config(p.scheme).with_threat_model(p.threat);
-        let stats = run_scheme_cfg_cancellable(&p.config, scheme_cfg, profile, trace, ctx)?;
-        simulated.fetch_add(1, Ordering::Relaxed);
-        if let Some(store) = &opts.store {
-            if let Ok(path) = store.save(profile.name, run.ops, seed, fp, &stats) {
-                if let Some(plan) = &opts.policy.faults {
-                    if plan.corrupts_stats_at(k) {
-                        let _ = crate::faults::corrupt_file(&path);
-                    }
-                }
-            }
+    }
+    let (results, mut report) = run_points(jobs.iter().cloned(), run, opts);
+    // Failure lines name the replicate, which the point's label cannot.
+    for failure in &mut report.failures {
+        let r = failure.index / n_b % reps;
+        if let Some((head, bench)) = failure.label.rsplit_once('/') {
+            failure.label = format!("{head}/r{r}/{bench}");
         }
-        Ok(BenchResult::new(
-            profile.name,
-            stats.committed.get(),
-            stats.cycles.get(),
-        ))
-    });
-    let mut out = Vec::with_capacity(points.len());
-    for (i, p) in points.iter().enumerate() {
-        let replicates: Vec<Vec<BenchResult>> = (0..reps)
-            .map(|r| {
-                let start = (i * reps + r) * n_b;
-                report.results[start..start + n_b]
-                    .iter()
-                    .filter_map(Clone::clone)
-                    .collect()
-            })
-            .collect();
-        out.push(PointResult {
+    }
+    let out = points
+        .iter()
+        .zip(jobs.chunks(reps * n_b))
+        .map(|(p, point_jobs)| PointResult {
             config: p.config.clone(),
             scheme: p.scheme,
             threat: p.threat,
             fingerprint: point_fingerprint(&p.config, p.scheme, p.threat),
-            replicates,
-        });
-    }
+            replicates: point_jobs
+                .chunks(n_b)
+                .map(|rep| {
+                    rep.iter()
+                        .filter_map(|job| Some(job.row(results.get(job).ok()?)))
+                        .collect()
+                })
+                .collect(),
+        })
+        .collect();
     Ok(SweepOutcome {
         points: out,
-        report: RunReport {
-            simulated: simulated.into_inner(),
-            from_cache: from_cache.into_inner(),
-            total: jobs_n,
-            failures: report.failures,
-        },
+        report,
         benchmarks: n_b,
     })
 }
@@ -309,6 +247,30 @@ mod tests {
         assert_eq!(a.points.len(), 1);
         assert_eq!(b.points.len(), 1);
         assert_ne!(a.points[0].fingerprint, b.points[0].fingerprint);
+        cleanup(&store);
+    }
+
+    #[test]
+    fn failure_lines_name_the_replicate() {
+        let (mut opts, store) = scratch_opts("fail-label");
+        opts.policy.faults = Some(crate::FaultPlan::parse("panic@23,panic@67").unwrap());
+        let spec = SweepSpec::parse("base=small scheme=nda threat=both replicates=2").unwrap();
+        let out = run_sweep(&spec, &tiny(), &opts).unwrap();
+        // Job (i * 2 + r) * 22 + b: both are replicate 1 of 502.gcc, under
+        // the spectre and then the futuristic point.
+        let labels: Vec<&str> = out
+            .report
+            .failures
+            .iter()
+            .map(|f| f.label.as_str())
+            .collect();
+        assert_eq!(labels[0], "small/NDA/r1/502.gcc");
+        assert!(labels[1].ends_with("/futuristic/r1/502.gcc"), "{labels:?}");
+        assert_eq!(labels.len(), 2);
+        for p in &out.points {
+            assert_eq!(p.replicates[0].len(), 22);
+            assert_eq!(p.replicates[1].len(), 21);
+        }
         cleanup(&store);
     }
 

@@ -2,23 +2,27 @@
 //! configuration, benchmark, trace seed) tuple — with deterministic
 //! seeding, over the fault-tolerant job layer.
 //!
-//! [`run_points`] is the one way the experiments simulate. It takes any
-//! list of [`Point`]s (the grid's configs × schemes × benchmarks, plus the
-//! points Table 4, Table 5 and §9.2 read), runs each distinct point once
-//! as one flat job list so the pool stays saturated end-to-end, and keeps
-//! every point's full `SimStats`. Each point runs as a [`crate::jobs`]
-//! job: panics are isolated, per-job deadlines and the global run budget
-//! are enforced cooperatively through the core's cancel token, and every
-//! completed point's `SimStats` is persisted to the
-//! [`crate::stats_store::StatsStore`] so `--resume` re-simulates only the
-//! missing points. Points that run the same trace share it by reference.
+//! [`run_points`] is the one way the experiments simulate a benchmark
+//! trace. It takes any list of [`Point`]s (the grid's configs × schemes ×
+//! benchmarks, the points Table 4, Table 5 and §9.2 read, and a sweep's
+//! design points × replicates × benchmarks), runs each distinct point
+//! once as one flat job list so the pool stays saturated end-to-end, and
+//! keeps every point's full `SimStats`. Each point runs as a
+//! [`crate::jobs`] job: panics are isolated, per-job deadlines and the
+//! global run budget are enforced cooperatively through the core's cancel
+//! token, and every completed point's `SimStats` is persisted to the
+//! [`crate::stats_store::StatsStore`] under [`Point`]'s key, so
+//! `--resume` re-simulates only the missing points and any two runs that
+//! share a point share its entry. Traces are generated in-process, once
+//! per distinct (benchmark, seed), and shared by reference across the
+//! points that run them.
 
-use crate::jobs::{self, JobCtx, JobError, JobFailure, JobPolicy};
+use crate::jobs::{self, JobError, JobFailure, JobPolicy};
 use crate::stats_store::{combine_fp, tag_fp, StatsStore};
 use sb_core::{Scheme, SchemeConfig};
 use sb_stats::{BenchResult, SimStats, SuiteSummary};
 use sb_uarch::{Core, CoreConfig};
-use sb_workloads::{cached_generate, spec2017_profiles, WorkloadProfile};
+use sb_workloads::{generate, spec2017_profiles, WorkloadProfile};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
@@ -131,48 +135,11 @@ impl std::fmt::Display for ExperimentError {
 
 impl std::error::Error for ExperimentError {}
 
-/// The deterministic trace a grid point simulates for `profile` under
-/// `spec`. Backed by the persistent trace store: repeated CLI invocations
-/// load the serialized trace instead of regenerating (disable or redirect
-/// via [`sb_workloads::TRACE_CACHE_ENV`]). Caching cannot change results —
-/// the store validates checksums and falls back to regeneration, and the
-/// golden/regression suites assert cached and fresh traces simulate
-/// identically.
-#[must_use]
-pub fn bench_trace(profile: &WorkloadProfile, spec: &RunSpec) -> sb_isa::Trace {
-    cached_generate(profile, spec.ops, bench_seed(profile, spec))
-}
-
-/// The per-benchmark seed `bench_trace` generates with — also the seed
+/// The seed a point's benchmark trace is generated with — also the seed
 /// component of the point's stats-store key, so trace identity and result
 /// identity are keyed consistently.
 pub(crate) fn bench_seed(profile: &WorkloadProfile, spec: &RunSpec) -> u64 {
     spec.seed ^ fxhash(profile.name)
-}
-
-/// The cancellation-aware job body: runs one point under the job's cancel
-/// token, classifying interruption (deadline vs budget) and
-/// non-termination as typed failures instead of panicking.
-pub(crate) fn run_scheme_cfg_cancellable(
-    config: &CoreConfig,
-    scheme_cfg: SchemeConfig,
-    profile: &WorkloadProfile,
-    trace: sb_isa::Trace,
-    ctx: &JobCtx,
-) -> Result<SimStats, JobFailure> {
-    let mut core = Core::new(config.clone(), scheme_cfg, trace);
-    core.set_cancel_token(ctx.cancel.clone());
-    core.run(MAX_CYCLES);
-    if core.interrupted() {
-        return Err(ctx.interruption());
-    }
-    if !core.is_done() {
-        return Err(JobFailure::permanent(format!(
-            "{} on {} ({}) did not finish within {MAX_CYCLES} cycles",
-            profile.name, config.name, scheme_cfg.scheme
-        )));
-    }
-    Ok(core.stats().clone())
 }
 
 fn fxhash(s: &str) -> u64 {
@@ -198,7 +165,7 @@ pub(crate) struct Point {
 
 impl Point {
     /// A grid point: `scheme` at `config`'s default scheme configuration,
-    /// on the trace [`bench_trace`] gives `profile` under `spec`.
+    /// on `profile`'s trace seeded by [`bench_seed`] under `spec`.
     pub(crate) fn bench(
         config: &CoreConfig,
         scheme: Scheme,
@@ -244,12 +211,13 @@ impl Point {
     }
 
     /// `config/scheme/benchmark`, the name a failure report gives the
-    /// point's job.
+    /// point's job. A scheme configuration other than the default is
+    /// spelled out in full, threat model included.
     fn label(&self) -> String {
         let scheme = if self.is_default_scheme() {
             self.scheme.scheme.to_string()
         } else {
-            self.scheme.to_string()
+            format!("{}/{}", self.scheme, self.scheme.threat_model)
         };
         format!("{}/{scheme}/{}", self.config.name, self.profile.name)
     }
@@ -348,10 +316,21 @@ pub(crate) fn run_points(
             }
         }
         let trace = traces[slots[k]]
-            .get_or_init(|| cached_generate(&point.profile, spec.ops, point.seed))
+            .get_or_init(|| generate(&point.profile, spec.ops, point.seed))
             .clone();
-        let stats =
-            run_scheme_cfg_cancellable(&point.config, point.scheme, &point.profile, trace, ctx)?;
+        let mut core = Core::new(point.config.clone(), point.scheme, trace);
+        core.set_cancel_token(ctx.cancel.clone());
+        core.run(MAX_CYCLES);
+        if core.interrupted() {
+            return Err(ctx.interruption());
+        }
+        if !core.is_done() {
+            return Err(JobFailure::permanent(format!(
+                "{name} on {} ({}) did not finish within {MAX_CYCLES} cycles",
+                point.config.name, point.scheme.scheme
+            )));
+        }
+        let stats = core.stats().clone();
         simulated.fetch_add(1, Ordering::Relaxed);
         if let Some(store) = &opts.store {
             // A failed save is a cache bypass, never a run failure.
@@ -623,6 +602,21 @@ mod tests {
         assert_ne!(split.key(), futuristic.key());
         assert_eq!(default.label(), "mega/STT-Rename/548.exchange2");
         assert!(split.label().contains("+split-store"), "{}", split.label());
+    }
+
+    #[test]
+    fn label_names_the_threat_model_of_a_non_default_scheme_config() {
+        let mcf = spec2017_profiles()[3];
+        let default = Point::bench(&CoreConfig::mega(), Scheme::Nda, &mcf, &tiny());
+        let mut spectre = default.clone();
+        spectre.scheme.broadcast_bandwidth = None;
+        let mut futuristic = spectre.clone();
+        futuristic.scheme = futuristic
+            .scheme
+            .with_threat_model(sb_core::ThreatModel::Futuristic);
+        assert_eq!(default.label(), "mega/NDA/505.mcf");
+        assert_eq!(spectre.label(), "mega/NDA (bw inf)/spectre/505.mcf");
+        assert_eq!(futuristic.label(), "mega/NDA (bw inf)/futuristic/505.mcf");
     }
 
     #[test]

@@ -25,8 +25,7 @@ pub use analyze::{
     static_matrix_report, ExtendedAudit, StaticCell, StaticVerdict,
 };
 pub use engine::{
-    bench_trace, check_ops, run_grid_with, ExperimentError, GridResults, RunOptions, RunReport,
-    RunSpec, MAX_OPS,
+    check_ops, run_grid_with, ExperimentError, GridResults, RunOptions, RunReport, RunSpec, MAX_OPS,
 };
 pub use faults::{FaultPlan, FAULT_ENV};
 pub use jobs::{BatchReport, JobCtx, JobError, JobFailure, JobPolicy};

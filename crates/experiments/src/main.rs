@@ -2,7 +2,7 @@
 //! a design-space sweep, or verify the security property.
 //!
 //! ```text
-//! sb-experiments [--ops N] [--seed S] [--out DIR] [--no-trace-cache] [--resume]
+//! sb-experiments [--ops N] [--seed S] [--out DIR] [--resume]
 //!                [--job-deadline SECS] [--run-budget SECS] [--inject-faults SPEC]
 //!                [EXPERIMENT...]
 //! sb-experiments verify-security [--out DIR] [--threat-model spectre|futuristic|both]
@@ -10,7 +10,7 @@
 //! sb-experiments analyze-security [--out DIR] [--threat-model spectre|futuristic|both]
 //!                [--self-check] [--perturb-claim SCENARIO]
 //! sb-experiments sweep (--spec SPEC | --from-manifest PATH) [--top N] [--out DIR]
-//!                [--ops N] [--seed S] [--no-trace-cache] [--resume]
+//!                [--ops N] [--seed S] [--resume]
 //!                [--job-deadline SECS] [--run-budget SECS] [--inject-faults SPEC]
 //! ```
 //!
@@ -22,18 +22,13 @@
 //! benchmark trace. `--out` is created before anything is simulated, so
 //! an unusable directory fails at once (exit 2) instead of after the run.
 //!
-//! Workload traces are memoized on disk (default `target/trace-cache/`),
-//! so repeated invocations skip generation; `--no-trace-cache` disables
-//! the store for this run, and the `SB_TRACE_CACHE` environment variable
-//! disables (`0`/`off`) or redirects (a path) it globally.
-//!
 //! Every simulation the requested experiments read — the grid, and the
 //! points of `table4`, `table5` and `sec92` — runs as one job list, each
-//! distinct point once (441 points for `all`). Results are persisted the
-//! same way as traces: every simulated point's `SimStats` lands in the
-//! checksummed stats store (default `target/stats-cache/`;
-//! `SB_STATS_CACHE` disables or redirects it with `SB_TRACE_CACHE`'s exact
-//! semantics). `--resume` additionally *reads* the store before
+//! distinct point once (441 points for `all`). Every simulated point's
+//! `SimStats` lands in the checksummed stats store (default
+//! `target/stats-cache/`; the `SB_STATS_CACHE` environment variable
+//! disables it with `0`/`off` or redirects it to a path). `--resume`
+//! additionally *reads* the store before
 //! simulating, so a killed or partially failed run picks up where it left
 //! off — only the missing points are simulated, and a fully cached run
 //! performs zero simulations.
@@ -110,7 +105,7 @@ const EXPERIMENT_NAMES: &[&str] = &[
 const SUBCOMMANDS: &[&str] = &["verify-security", "analyze-security", "sweep"];
 
 const USAGE: &str =
-    "usage: sb-experiments [--ops N] [--seed S] [--out DIR] [--no-trace-cache] [--resume]\n\
+    "usage: sb-experiments [--ops N] [--seed S] [--out DIR] [--resume]\n\
      \x20                     [--job-deadline SECS] [--run-budget SECS] [--inject-faults SPEC]\n\
      \x20                     [EXPERIMENT...]\n\
      experiments: table1 fig1 fig6 fig7 fig8 fig9 fig10 table3 table4 table5 sec92 security all\n\
@@ -119,7 +114,7 @@ const USAGE: &str =
      or: sb-experiments analyze-security [--out DIR] [--threat-model spectre|futuristic|both]\n\
      \x20                     [--self-check] [--perturb-claim SCENARIO]\n\
      or: sb-experiments sweep (--spec SPEC | --from-manifest PATH) [--top N] [--out DIR]\n\
-     \x20                     [--ops N] [--seed S] [--no-trace-cache] [--resume]\n\
+     \x20                     [--ops N] [--seed S] [--resume]\n\
      \x20                     [--job-deadline SECS] [--run-budget SECS] [--inject-faults SPEC]\n\
      or: sb-experiments import FILE.sbtr [--scheme baseline|stt-rename|stt-issue|nda]\n\
      --ops N: micro-ops per benchmark trace, 1 to 1000000 (default 60000)\n\
@@ -127,7 +122,6 @@ const USAGE: &str =
      \x20  l1-sets l1-ways l2-sets l2-ways l1-prefetch l2-prefetch) with comma lists or a..b[:step]\n\
      \x20  ranges, base=small|medium|large|mega|gem5-stt|gem5-nda, preset=boom|gem5,\n\
      \x20  scheme=all|secure|<list>, threat=spectre|futuristic|both, replicates=N\n\
-     traces are cached under target/trace-cache/ (SB_TRACE_CACHE=0 or --no-trace-cache disables)\n\
      simulation stats are cached under target/stats-cache/ (SB_STATS_CACHE=0 disables; --resume reads \
      them back)\n\
      fault spec: comma-separated panic@I | overrun@I | corrupt-stats@I (also via SB_FAULT_INJECT)";
@@ -143,7 +137,6 @@ struct Args {
     top: Option<usize>,
     self_check: bool,
     perturb_claim: Option<String>,
-    no_trace_cache: bool,
     resume: bool,
     job_deadline: Option<Duration>,
     run_budget: Option<Duration>,
@@ -196,7 +189,6 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
     let mut top = None;
     let mut self_check = false;
     let mut perturb_claim = None;
-    let mut no_trace_cache = false;
     let mut resume = false;
     let mut job_deadline = None;
     let mut run_budget = None;
@@ -245,10 +237,6 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
             "--perturb-claim" => {
                 perturb_claim = Some(it.next().ok_or("--perturb-claim requires a value")?);
                 flags_given.push("--perturb-claim");
-            }
-            "--no-trace-cache" => {
-                no_trace_cache = true;
-                flags_given.push("--no-trace-cache");
             }
             "--resume" => {
                 resume = true;
@@ -313,7 +301,7 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
             ));
         }
         let accepted: &[&str] = match sub {
-            // sweep has the full grid machinery: job layer, both caches,
+            // sweep has the full grid machinery: job layer, stats store,
             // resume — plus its own spec/manifest/top flags.
             "sweep" => &[
                 "--spec",
@@ -322,14 +310,13 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
                 "--out",
                 "--ops",
                 "--seed",
-                "--no-trace-cache",
                 "--resume",
                 "--job-deadline",
                 "--run-budget",
                 "--inject-faults",
             ],
             // analyze-security is pure computation: no job layer, no
-            // caches — only the model axis, the output dir and its own
+            // stats store — only the model axis, the output dir and its own
             // audit controls.
             "analyze-security" => &["--out", "--threat-model", "--self-check", "--perturb-claim"],
             // verify-security runs on the job layer but has no stats
@@ -417,7 +404,6 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
         top,
         self_check,
         perturb_claim,
-        no_trace_cache,
         resume,
         job_deadline,
         run_budget,
@@ -682,9 +668,6 @@ fn main() {
         println!("{USAGE}");
         return;
     }
-    if args.no_trace_cache {
-        std::env::set_var(sb_workloads::TRACE_CACHE_ENV, "0");
-    }
     let policy = match job_policy(&args) {
         Ok(policy) => policy,
         Err(e) => {
@@ -931,18 +914,6 @@ mod tests {
     }
 
     #[test]
-    fn no_trace_cache_is_deferred_to_main() {
-        // parse_args must not mutate the process environment (it would
-        // race with other tests); it only records the request. Compare
-        // before/after rather than asserting absence — the suite may
-        // legitimately run with SB_TRACE_CACHE exported.
-        let before = std::env::var(sb_workloads::TRACE_CACHE_ENV).ok();
-        let a = parse(&["--no-trace-cache"]).unwrap();
-        assert!(a.no_trace_cache);
-        assert_eq!(std::env::var(sb_workloads::TRACE_CACHE_ENV).ok(), before);
-    }
-
-    #[test]
     fn subcommands_cannot_be_combined_with_experiments() {
         let err = parse(&["table1", "verify-security"]).unwrap_err();
         assert!(
@@ -964,10 +935,10 @@ mod tests {
         );
         let err = parse(&["--seed", "7", "verify-security"]).unwrap_err();
         assert!(err.contains("--seed"), "{err}");
-        // analyze-security simulates nothing, so no trace cache to skip.
-        let err = parse(&["analyze-security", "--no-trace-cache"]).unwrap_err();
+        // analyze-security simulates nothing, so there is nothing to resume.
+        let err = parse(&["analyze-security", "--resume"]).unwrap_err();
         assert!(
-            err.contains("--no-trace-cache") && err.contains("analyze-security"),
+            err.contains("--resume") && err.contains("analyze-security"),
             "{err}"
         );
         // Each subcommand's own flags still parse.

@@ -1,15 +1,14 @@
 //! Persistent simulation-result store: memoizes `SimStats` on disk so an
 //! interrupted grid run can resume without re-simulating finished points.
 //!
-//! The design deliberately mirrors `sb-workloads`' `TraceStore` — same
-//! environment-variable semantics ([`STATS_CACHE_ENV`], resolved through
-//! [`sb_workloads::cache_dir_from_env`]), same filename keying
-//! ([`sb_workloads::cache_entry_stem`] plus a format-version suffix), same
-//! write-to-temporary-then-atomic-rename discipline, and the same
-//! self-healing read contract: *any* validation failure — missing file,
-//! short file, bad magic, stale format version, wrong benchmark name,
-//! checksum mismatch — is a cache miss that removes the bad entry, so a
-//! corrupted cache can delay a run but never change its results.
+//! The [`STATS_CACHE_ENV`] environment variable disables or redirects the
+//! store. Entries are files named by [`sb_workloads::cache_entry_stem`]
+//! plus a format-version suffix, written to a temporary file and renamed
+//! into place atomically, and read under a self-healing contract: *any*
+//! validation failure — missing file, short file, bad magic, stale format
+//! version, wrong benchmark name, checksum mismatch — is a cache miss that
+//! removes the bad entry, so a corrupted cache can delay a run but never
+//! change its results.
 //!
 //! An entry's key is `(benchmark name, ops, seed, fingerprint)` where the
 //! fingerprint folds together everything else that determines the stats:
@@ -27,15 +26,15 @@
 //! a clean miss instead of misattributed counters.
 
 use sb_stats::SimStats;
-use sb_workloads::{cache_dir_from_env, cache_entry_stem};
+use sb_workloads::cache_entry_stem;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Environment variable controlling the stats cache, with exactly the
-/// `SB_TRACE_CACHE` semantics: unset/empty keeps the default directory,
-/// `0`/`off` disables the store, anything else is the cache directory.
+/// Environment variable controlling the stats cache: unset/empty keeps
+/// the default directory, `0`/`off` disables the store, anything else is
+/// the cache directory.
 pub const STATS_CACHE_ENV: &str = "SB_STATS_CACHE";
 
 /// Bump whenever the entry layout (or the meaning of a field) changes.
@@ -49,6 +48,24 @@ const FIELD_COUNT: u32 = 26;
 
 /// Distinguishes concurrent writers' temporary files within one process.
 static TMP_COUNTER: AtomicU64 = AtomicU64::new(0);
+
+/// Resolves a cache directory from an environment variable: unset, empty,
+/// or whitespace-only means `default_dir`; `0`/`off` (any case,
+/// whitespace-trimmed) disables the store (`None`); anything else
+/// redirects to that path.
+fn cache_dir_from_env(var: &str, default_dir: impl FnOnce() -> PathBuf) -> Option<PathBuf> {
+    match std::env::var(var) {
+        // Match on the trimmed value throughout: `" 0"` or `"0\n"`
+        // (trailing newline from a shell wrapper) must disable the
+        // store, not become a whitespace-named cache directory.
+        Ok(v) => match v.trim() {
+            t if t == "0" || t.eq_ignore_ascii_case("off") => None,
+            "" => Some(default_dir()),
+            dir => Some(PathBuf::from(dir)),
+        },
+        Err(_) => Some(default_dir()),
+    }
+}
 
 /// FNV-1a over a byte slice — the entry checksum.
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -245,8 +262,13 @@ impl StatsStore {
 
     /// The store honoring [`STATS_CACHE_ENV`]: `None` when disabled
     /// (`0`/`off`), otherwise a store on the requested (or default)
-    /// directory. Shares [`sb_workloads::cache_dir_from_env`] with the
-    /// trace store so the two knobs can never drift semantically.
+    /// directory.
+    ///
+    /// A set-but-empty variable (`SB_STATS_CACHE=""` — easy to produce
+    /// from a shell wrapper or an unset CI secret) means "the default
+    /// directory", exactly like an unset variable: it must be neither a
+    /// redirect to the empty path (which would scatter cache files into
+    /// cwd-relative `""`) nor a silent disable.
     #[must_use]
     pub fn from_env() -> Option<StatsStore> {
         cache_dir_from_env(STATS_CACHE_ENV, Self::default_dir).map(StatsStore::new)
@@ -465,33 +487,42 @@ mod tests {
     }
 
     #[test]
-    fn from_env_shares_trace_store_semantics() {
-        // Sequential within one test: process-global env mutation must not
-        // race across #[test] fns.
+    fn from_env_disable_redirect_and_empty_semantics() {
+        // One test covers every STATS_CACHE_ENV shape, sequentially:
+        // process-global env mutation must not race across #[test] fns.
         let saved = std::env::var(STATS_CACHE_ENV).ok();
+
+        // Unset: the default directory.
         std::env::remove_var(STATS_CACHE_ENV);
         assert_eq!(
             StatsStore::from_env().expect("unset means default").dir(),
             StatsStore::default_dir()
         );
-        for off in ["0", "off", " OFF\n"] {
+
+        // The documented disable spellings, with incidental whitespace
+        // (shell wrappers readily produce trailing newlines).
+        for off in ["0", "off", "OFF", "Off", " 0", "0\n", " off ", " OFF\n"] {
             std::env::set_var(STATS_CACHE_ENV, off);
             assert!(StatsStore::from_env().is_none(), "{off:?} must disable");
         }
+
+        // A path redirects.
         std::env::set_var(STATS_CACHE_ENV, "/tmp/sb-redirected-stats");
         assert_eq!(
             StatsStore::from_env().expect("path redirects").dir(),
             Path::new("/tmp/sb-redirected-stats")
         );
+
+        // Set-but-empty (and whitespace-only) is the default directory:
+        // neither a silent disable nor a store rooted at "".
         for empty in ["", "  "] {
             std::env::set_var(STATS_CACHE_ENV, empty);
-            assert_eq!(
-                StatsStore::from_env()
-                    .unwrap_or_else(|| panic!("{empty:?} must not disable"))
-                    .dir(),
-                StatsStore::default_dir()
-            );
+            let store = StatsStore::from_env()
+                .unwrap_or_else(|| panic!("{empty:?} must not disable the store"));
+            assert_eq!(store.dir(), StatsStore::default_dir(), "{empty:?}");
+            assert_ne!(store.dir(), Path::new(""));
         }
+
         match saved {
             Some(v) => std::env::set_var(STATS_CACHE_ENV, v),
             None => std::env::remove_var(STATS_CACHE_ENV),

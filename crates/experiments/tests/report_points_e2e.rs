@@ -55,7 +55,6 @@ impl Scratch {
             .args(extra)
             .env_remove("SB_FAULT_INJECT")
             .env("SB_STATS_CACHE", self.dir(stats))
-            .env("SB_TRACE_CACHE", self.dir("traces"))
             .output()
             .expect("spawn sb-experiments")
     }

@@ -38,9 +38,6 @@ impl Scratch {
             .args(extra)
             .env_remove("SB_FAULT_INJECT")
             .env("SB_STATS_CACHE", self.dir(stats))
-            // One shared trace cache: traces are content-addressed and
-            // identical across runs, so this only saves generation time.
-            .env("SB_TRACE_CACHE", self.dir("traces"))
             .output()
             .expect("spawn sb-experiments")
     }

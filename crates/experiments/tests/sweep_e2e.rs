@@ -2,8 +2,9 @@
 //! binary: a sweep killed partway (deterministic fault injection) heals
 //! under `--resume` to a leaderboard CSV and manifest byte-identical to
 //! an uninterrupted run's; a warm identical re-run performs zero
-//! simulations; and `--from-manifest` reproduces the sweep from the
-//! manifest alone.
+//! simulations; `--from-manifest` reproduces the sweep from the manifest
+//! alone; and a sweep over a grid configuration is served entirely by a
+//! grid run's stats-store entries.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -21,8 +22,8 @@ struct Scratch {
 }
 
 impl Scratch {
-    fn new() -> Scratch {
-        let root = std::env::temp_dir().join(format!("sb-sweep-e2e-{}", std::process::id()));
+    fn new(tag: &str) -> Scratch {
+        let root = std::env::temp_dir().join(format!("sb-sweep-e2e-{}-{tag}", std::process::id()));
         let _ = std::fs::remove_dir_all(&root);
         std::fs::create_dir_all(&root).unwrap();
         Scratch { root }
@@ -35,15 +36,16 @@ impl Scratch {
     /// Runs `sweep` against one stats cache and output dir, with a fully
     /// pinned environment (no ambient cache or fault variables).
     fn sweep(&self, stats: &str, out: &str, args: &[&str]) -> Output {
+        self.cli(stats, out, &[&["sweep"], args].concat())
+    }
+
+    /// Runs the CLI with `args` against one stats cache and output dir.
+    fn cli(&self, stats: &str, out: &str, args: &[&str]) -> Output {
         Command::new(BIN)
-            .arg("sweep")
             .args(args)
             .args(["--out", self.dir(out).to_str().unwrap()])
             .env_remove("SB_FAULT_INJECT")
             .env("SB_STATS_CACHE", self.dir(stats))
-            // One shared trace cache: traces are content-addressed and
-            // identical across runs, so this only saves generation time.
-            .env("SB_TRACE_CACHE", self.dir("traces"))
             .output()
             .expect("spawn sb-experiments")
     }
@@ -66,7 +68,7 @@ fn read(dir: &Path, name: &str) -> Vec<u8> {
 
 #[test]
 fn killed_sweep_resumes_and_manifest_reproduces_it() {
-    let scratch = Scratch::new();
+    let scratch = Scratch::new("killed");
 
     // Reference: one uninterrupted sweep, its own stats cache.
     let reference = scratch.sweep(
@@ -201,4 +203,46 @@ fn killed_sweep_resumes_and_manifest_reproduces_it() {
         read(&scratch.dir("out-manifest"), "manifest.json"),
         "manifest.json must round-trip byte-identically"
     );
+}
+
+#[test]
+fn sweep_over_a_grid_config_is_served_by_the_grid_entries() {
+    let scratch = Scratch::new("shared");
+    let run = ["--ops", "600", "--seed", "7"];
+    let grid = scratch.cli(
+        "stats-shared",
+        "out-grid",
+        &[&["table1"], &run[..]].concat(),
+    );
+    assert!(grid.status.success(), "{}", stderr_of(&grid));
+
+    // `base=mega` under the default Spectre model is exactly the grid's
+    // mega column: same configuration, schemes, benchmarks and seeds.
+    let args = [&["--spec", "base=mega", "--resume"], &run[..]].concat();
+    let shared = scratch.sweep("stats-shared", "out-shared", &args);
+    assert!(shared.status.success(), "{}", stderr_of(&shared));
+    let err = stderr_of(&shared);
+    assert!(
+        err.contains(&format!(
+            "0 simulated, {TOTAL} from cache, 0 of {TOTAL} failed"
+        )),
+        "a sweep over a grid configuration must reuse the grid's entries: {err}"
+    );
+
+    let cold = scratch.sweep("stats-cold", "out-cold", &args);
+    assert!(cold.status.success(), "{}", stderr_of(&cold));
+    let err = stderr_of(&cold);
+    assert!(
+        err.contains(&format!(
+            "{TOTAL} simulated, 0 from cache, 0 of {TOTAL} failed"
+        )),
+        "{err}"
+    );
+    for file in ["leaderboard.csv", "manifest.json"] {
+        assert_eq!(
+            read(&scratch.dir("out-cold"), file),
+            read(&scratch.dir("out-shared"), file),
+            "{file} served from grid entries must equal a cold sweep's"
+        );
+    }
 }

@@ -1,14 +1,17 @@
 //! Compact versioned binary serialization for [`Trace`]s.
 //!
-//! The persistent trace store (`sb-workloads::store`) memoizes generated
-//! workload traces across processes. The paper's evaluation methodology
-//! depends on every scheme seeing byte-identical instruction streams, so the
-//! on-disk format is defensive: a magic tag, an explicit format version
-//! (bumped whenever the micro-op encoding changes), and a 64-bit checksum
-//! over the entire payload. Any mismatch — wrong magic, unknown version,
-//! flipped bit, truncation, trailing garbage — decodes to an error, and the
-//! store falls back to regeneration instead of ever feeding a corrupted
-//! trace to the simulator.
+//! SBTR is the interchange format `sb-experiments import` reads: an
+//! external tool that emits it drives the simulator with its own traces.
+//! The paper's evaluation methodology depends on every scheme seeing
+//! byte-identical instruction streams, so the on-disk format is defensive:
+//! a magic tag, an explicit format version (bumped whenever the micro-op
+//! encoding changes), and a 64-bit checksum over the entire payload. Any
+//! mismatch — wrong magic, unknown version, flipped bit, truncation,
+//! trailing garbage — decodes to an error. So does a record that breaks a
+//! [`MicroOp`] invariant the simulator relies on (a memory access present
+//! iff the op is a load or store, a control-flow outcome present iff it is
+//! a branch), even under a valid checksum: a decoded trace never panics or
+//! hangs the core.
 //!
 //! Layout (all integers little-endian):
 //!
@@ -48,8 +51,8 @@ use std::collections::HashMap;
 use std::fmt;
 
 /// Newest on-disk trace format version this build can read and write.
-/// Bump on any encoding change so stale cache files from older builds are
-/// rejected (and regenerated) instead of misparsed.
+/// Bump on any encoding change so files from older builds are rejected
+/// instead of misparsed.
 pub const TRACE_FORMAT_VERSION: u32 = 2;
 
 /// The original 14-byte-record format, still emitted whenever a trace
@@ -72,7 +75,8 @@ pub enum CodecError {
     /// The buffer ended before the encoded structures did.
     Truncated,
     /// A structurally invalid encoding (bad op class, register index,
-    /// non-UTF-8 name, unsorted blocks, trailing bytes, ...).
+    /// memory access or control flow on the wrong op class, non-UTF-8
+    /// name, unsorted blocks, trailing bytes, ...).
     Invalid(&'static str),
 }
 
@@ -243,6 +247,16 @@ fn decode_op(rec: &[u8]) -> Result<MicroOp, CodecError> {
     } else {
         None
     };
+    if mem.is_some() != matches!(class, OpClass::Load | OpClass::Store) {
+        return Err(CodecError::Invalid(
+            "memory access present on a non-memory op or missing on a load/store",
+        ));
+    }
+    if ctrl.is_some() != (class == OpClass::Branch) {
+        return Err(CodecError::Invalid(
+            "control flow present on a non-branch or missing on a branch",
+        ));
+    }
     Ok(MicroOp {
         class,
         dst: reg_from_code(rec[2])?,
@@ -300,9 +314,8 @@ fn needs_v2(trace: &Trace) -> bool {
 /// Serializes a trace into the versioned, checksummed binary format.
 ///
 /// Traces whose branches carry no pc/target info encode byte-identically
-/// to format version 1 (so the persistent trace store never churns legacy
-/// cache files); any nonzero pc or target switches the whole file to the
-/// version-2 record layout.
+/// to format version 1 (so legacy files stay byte-stable); any nonzero pc
+/// or target switches the whole file to the version-2 record layout.
 #[must_use]
 pub fn encode_trace(trace: &Trace) -> Vec<u8> {
     let version = if needs_v2(trace) {
@@ -346,8 +359,9 @@ pub fn encode_trace(trace: &Trace) -> Vec<u8> {
 ///
 /// # Errors
 ///
-/// Returns a [`CodecError`] on any deviation from the format — the caller
-/// (the trace store) treats every error as a cache miss.
+/// Returns a [`CodecError`] on any deviation from the format, including
+/// [`CodecError::Invalid`] for a record whose memory access or
+/// control-flow outcome disagrees with its op class.
 pub fn decode_trace(bytes: &[u8]) -> Result<Trace, CodecError> {
     let mut r = Reader { buf: bytes, pos: 0 };
     if r.take(4).map_err(|_| CodecError::BadMagic)? != TRACE_MAGIC {
@@ -449,9 +463,8 @@ mod tests {
 
     #[test]
     fn traces_without_branch_info_stay_on_version_1() {
-        // Legacy byte-stability: the persistent trace store must not see
-        // its existing v1 cache files churn just because the codec learned
-        // a second version.
+        // Legacy byte-stability: existing v1 files must not churn just
+        // because the codec learned a second version.
         let bytes = encode_trace(&sample());
         assert_eq!(
             u32::from_le_bytes(bytes[4..8].try_into().unwrap()),
@@ -530,6 +543,41 @@ mod tests {
         for keep in [0, 3, 7, 15, bytes.len() / 2, bytes.len() - 1] {
             assert!(decode_trace(&bytes[..keep]).is_err(), "kept {keep} bytes");
         }
+    }
+
+    /// Rewrites the stored checksum so a hand-mutated payload passes the
+    /// integrity check and reaches structural validation.
+    fn reseal(bytes: &mut [u8]) {
+        let sum = checksum(&bytes[16..]);
+        bytes[8..16].copy_from_slice(&sum.to_le_bytes());
+    }
+
+    #[test]
+    fn records_breaking_op_invariants_are_rejected_under_a_valid_checksum() {
+        let t = sample();
+        let bytes = encode_trace(&t);
+        let flags_at = |op: usize| 16 + 4 + t.name().len() + 8 + op * OP_RECORD_V1 + 1;
+        // A load and a store without their access, an ALU op with an
+        // access, an ALU op with a mispredicted outcome, a branch without
+        // one: each would panic or hang the core.
+        for (op, toggle) in [
+            (1, FLAG_MEM),
+            (2, FLAG_MEM),
+            (0, FLAG_MEM),
+            (0, FLAG_CTRL | FLAG_MISPREDICTED),
+            (4, FLAG_CTRL),
+        ] {
+            let mut bad = bytes.clone();
+            bad[flags_at(op)] ^= toggle;
+            reseal(&mut bad);
+            assert!(
+                matches!(decode_trace(&bad), Err(CodecError::Invalid(_))),
+                "op {op} with flags toggled by {toggle:#x} decoded"
+            );
+        }
+        let mut resealed = bytes;
+        reseal(&mut resealed);
+        assert_eq!(decode_trace(&resealed).unwrap(), t);
     }
 
     #[test]

@@ -10,7 +10,7 @@ use sb_stats::SimStats;
 use sb_uarch::{Core, CoreConfig, PredictorConfig, SchedulerKind};
 use sb_workloads::{
     attack_battery, generate, m_shadow_kernel, mshr_contention_kernel, prime_probe_kernel,
-    spec2017_profiles, spectre_v1_kernel, ssb_kernel, TraceStore,
+    spec2017_profiles, spectre_v1_kernel, ssb_kernel,
 };
 use std::collections::BTreeSet;
 
@@ -250,14 +250,10 @@ fn golden_stats_futuristic_threat_model() {
 }
 
 #[test]
-fn golden_stats_store_loaded_traces() {
-    // Closes the loop on the persistent trace store: a trace that went
-    // through serialize → disk → deserialize must drive both schedulers to
-    // statistics identical to the freshly generated trace, for every
-    // scheme variant.
-    let dir = std::env::temp_dir().join(format!("sb-golden-stats-store-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let store = TraceStore::new(&dir);
+fn golden_stats_decoded_traces() {
+    // `import`'s guarantee: a trace that went through the SBTR codec
+    // (encode → bytes → decode) must drive both schedulers to statistics
+    // identical to the freshly generated trace, for every scheme variant.
     let config = CoreConfig::mega();
     let profiles = spec2017_profiles();
     let profile = profiles
@@ -266,24 +262,21 @@ fn golden_stats_store_loaded_traces() {
         .unwrap();
 
     let fresh = generate(profile, 3_000, 0xFEED);
-    let cold = store.load_or_generate(profile, 3_000, 0xFEED);
-    let loaded = store.load_or_generate(profile, 3_000, 0xFEED);
-    assert_eq!(fresh, cold, "cold store pass altered the trace");
-    assert_eq!(fresh, loaded, "store round-trip altered the trace");
+    let decoded = sb_isa::decode_trace(&sb_isa::encode_trace(&fresh)).expect("decodes");
+    assert_eq!(fresh, decoded, "codec round-trip altered the trace");
 
     for (tag, scheme_cfg) in scheme_variants(&config) {
         for kind in [SchedulerKind::Reference, SchedulerKind::EventWheel] {
             let from_fresh = run(&with_scheduler(&config, kind), scheme_cfg, fresh.clone());
-            let from_store = run(&with_scheduler(&config, kind), scheme_cfg, loaded.clone());
+            let from_decoded = run(&with_scheduler(&config, kind), scheme_cfg, decoded.clone());
             assert_eq!(
-                from_fresh, from_store,
-                "store/{tag}/{kind:?}: cached trace diverged from fresh"
+                from_fresh, from_decoded,
+                "codec/{tag}/{kind:?}: decoded trace diverged from fresh"
             );
         }
-        // And the cached trace still satisfies the cross-scheduler oracle.
-        assert_golden(&config, scheme_cfg, &loaded, &format!("store/{tag}"));
+        // And the decoded trace still satisfies the cross-scheduler oracle.
+        assert_golden(&config, scheme_cfg, &decoded, &format!("codec/{tag}"));
     }
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -35,11 +35,11 @@ use std::collections::HashMap;
 const DATA_BASE: u64 = 0x1000_0000;
 
 /// Revision of the generator's output mapping, folded into
-/// [`WorkloadProfile::fingerprint`] and thence into trace-store cache keys.
-/// Bump whenever a change to either generator path alters the traces it
-/// produces for the same `(profile, ops, seed)` — otherwise persisted
-/// caches (CI restores `target/trace-cache/` across commits) silently serve
-/// traces from the old mapping.
+/// [`WorkloadProfile::fingerprint`] and thence into `sb-experiments`'
+/// stats-store keys. Bump whenever a change to either generator path
+/// alters the traces it produces for the same `(profile, ops, seed)` —
+/// otherwise a persisted stats store (CI restores `target/stats-cache/`
+/// across commits) silently serves results simulated on the old traces.
 pub(crate) const GENERATOR_REVISION: u64 = 1;
 
 /// Which trace-generator implementation to run.

@@ -70,10 +70,10 @@ pub struct WorkloadProfile {
 impl WorkloadProfile {
     /// A stable fingerprint of everything besides `(ops, seed)` that
     /// determines generated trace content: every profile parameter plus the
-    /// generator revision. The trace store folds it into cache keys, so
+    /// generator revision. The stats store folds it into its keys, so
     /// recalibrating a profile or changing the generator's output mapping
     /// invalidates stale persisted entries instead of silently serving
-    /// traces generated by old code.
+    /// results simulated on traces generated by old code.
     #[must_use]
     pub fn fingerprint(&self) -> u64 {
         let fold = |h: &mut u64, v: u64| *h = crate::fnv::fold(*h, v);

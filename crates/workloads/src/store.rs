@@ -1,63 +1,14 @@
-//! Persistent trace store: memoizes generated workload traces on disk so
-//! repeated CLI invocations skip generation entirely.
+//! Content-addressed file naming for persisted simulation artifacts.
 //!
-//! Traces are serialized with `sb-isa`'s versioned, checksummed binary
-//! codec into one file per `(workload name, ops, seed, content fingerprint,
-//! format version)` key under a cache directory (default
-//! `target/trace-cache/`). The fingerprint
-//! ([`WorkloadProfile::fingerprint`]) covers every profile parameter and
-//! the generator revision, so recalibrated profiles or generator changes
-//! read as misses even against a cache directory persisted across commits
-//! (as CI does). Writes go
-//! through a unique temporary file followed by an atomic rename, so
-//! concurrent producers (parallel test binaries, a grid run racing a bench)
-//! can only ever observe a complete file. Any read-side failure — missing
-//! file, bad magic, stale format version, checksum mismatch, or a key
-//! collision on a different workload — is a cache miss: the trace is
-//! regenerated and the entry rewritten, so a corrupted cache can never
-//! change simulation results.
-//!
-//! [`cached_generate`] is the drop-in entry point the experiment engine
-//! uses: store-backed by default, disabled by setting the
-//! [`TRACE_CACHE_ENV`] environment variable to `0` or `off` (or redirected
-//! by setting it to a directory path).
+//! [`cache_entry_stem`] is the filename stem `sb-experiments`' stats store
+//! keys its entries by. [`TraceStore`] names trace files with the same
+//! stem; the simulator no longer reads or writes them (generating a trace
+//! in-process measured faster than loading it back), and it stays, with
+//! byte-for-byte the same paths, only for the repository benchmark's
+//! traced replay, which writes and reads those files itself.
 
-use crate::generator::{generate_with, GeneratorKind};
-use crate::profiles::WorkloadProfile;
-use sb_isa::{decode_trace, encode_trace, Trace, TRACE_FORMAT_VERSION};
-use std::fs;
-use std::io;
+use sb_isa::TRACE_FORMAT_VERSION;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Environment variable controlling the default trace cache: unset keeps
-/// the default directory, `0`/`off` disables caching, anything else is used
-/// as the cache directory.
-pub const TRACE_CACHE_ENV: &str = "SB_TRACE_CACHE";
-
-/// Distinguishes concurrent writers' temporary files within one process.
-static TMP_COUNTER: AtomicU64 = AtomicU64::new(0);
-
-/// Resolves a cache directory from an environment variable with the
-/// `SB_TRACE_CACHE` semantics every persistent store in this workspace
-/// shares (`sb-experiments`' stats cache reuses this directly so the two
-/// knobs can never drift): unset, empty, or whitespace-only means
-/// `default_dir`; `0`/`off` (any case, whitespace-trimmed) disables the
-/// store (`None`); anything else redirects to that path.
-#[must_use]
-pub fn cache_dir_from_env(var: &str, default_dir: impl FnOnce() -> PathBuf) -> Option<PathBuf> {
-    match std::env::var(var) {
-        // Match on the trimmed value throughout: `" 0"` or `"0\n"`
-        // (trailing newline from a shell wrapper) must disable the
-        // store, not become a whitespace-named cache directory.
-        Ok(v) => match v.trim() {
-            t if t == "0" || t.eq_ignore_ascii_case("off") => None,
-            "" => Some(default_dir()),
-            dir => Some(PathBuf::from(dir)),
-        },
-        Err(_) => Some(default_dir()),
-    }
-}
 
 /// The filename stem every content-addressed store in this workspace keys
 /// entries by: sanitized workload name, ops, seed and content
@@ -87,183 +38,52 @@ pub fn cache_entry_stem(name: &str, ops: usize, seed: u64, fp: u64) -> String {
 }
 
 /// A directory of serialized traces keyed by
-/// `(workload name, ops, seed, format version)`.
+/// `(workload name, ops, seed, content fingerprint, format version)`.
+///
+/// Only the naming is left: the repository benchmark's harness
+/// (`benchmark/harness/src/layers.rs`) calls [`TraceStore::new`],
+/// [`TraceStore::dir`] and [`TraceStore::path_for`] to lay out the trace
+/// files of its traced replay. Nothing in the workspace reads or writes
+/// these files; the type goes when the harness stops calling it.
 #[derive(Clone, Debug)]
 pub struct TraceStore {
     dir: PathBuf,
 }
 
 impl TraceStore {
-    /// A store rooted at `dir` (created lazily on first write).
+    /// A store rooted at `dir`.
     #[must_use]
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         TraceStore { dir: dir.into() }
     }
 
-    /// The store honoring [`TRACE_CACHE_ENV`]: `None` when caching is
-    /// disabled (`0` / `off`), otherwise a store on the requested (or
-    /// default) directory.
-    ///
-    /// A set-but-empty variable (`SB_TRACE_CACHE=""` — easy to produce
-    /// from a shell wrapper or an unset CI secret) means "the default
-    /// directory", exactly like an unset variable: it must be neither a
-    /// redirect to the empty path (which would scatter cache files into
-    /// cwd-relative `""`) nor a silent disable.
-    #[must_use]
-    pub fn from_env() -> Option<TraceStore> {
-        cache_dir_from_env(TRACE_CACHE_ENV, Self::default_dir).map(TraceStore::new)
-    }
-
-    /// The default cache directory: `$CARGO_TARGET_DIR/trace-cache` when
-    /// set, else the workspace `target/trace-cache`.
-    #[must_use]
-    pub fn default_dir() -> PathBuf {
-        if let Ok(target) = std::env::var("CARGO_TARGET_DIR") {
-            return Path::new(&target).join("trace-cache");
-        }
-        // sb-workloads lives at <workspace>/crates/workloads; resolve the
-        // workspace target dir relative to the compiled crate so the cache
-        // is shared no matter which package's test binary is running.
-        Path::new(env!("CARGO_MANIFEST_DIR"))
-            .join("../../target/trace-cache")
-            .components()
-            .collect()
-    }
-
-    /// The directory this store reads and writes.
+    /// The directory this store names files in.
     #[must_use]
     pub fn dir(&self) -> &Path {
         &self.dir
     }
 
-    /// The cache file path for a `(name, ops, seed, fingerprint)` key under
-    /// the current format version. `fp` is a content fingerprint of
-    /// whatever besides `(ops, seed)` determines the trace — for profile
-    /// workloads, [`WorkloadProfile::fingerprint`]; use `0` for traces
-    /// whose content is fixed by the build (e.g. attack kernels).
+    /// The file path for a `(name, ops, seed, fingerprint)` key under the
+    /// current format version. `fp` is a content fingerprint of whatever
+    /// besides `(ops, seed)` determines the trace — for profile workloads,
+    /// [`crate::WorkloadProfile::fingerprint`]; `0` for traces whose
+    /// content is fixed by the build (e.g. attack kernels).
     #[must_use]
     pub fn path_for(&self, name: &str, ops: usize, seed: u64, fp: u64) -> PathBuf {
         let stem = cache_entry_stem(name, ops, seed, fp);
         self.dir
             .join(format!("{stem}-v{TRACE_FORMAT_VERSION}.sbtrace"))
     }
-
-    /// Loads the cached trace for a key, or `None` on miss or on *any*
-    /// validation failure (which also removes the bad entry, best-effort).
-    #[must_use]
-    pub fn load(&self, name: &str, ops: usize, seed: u64, fp: u64) -> Option<Trace> {
-        let path = self.path_for(name, ops, seed, fp);
-        let bytes = fs::read(&path).ok()?;
-        match decode_trace(&bytes) {
-            Ok(trace) if trace.name() == name && trace.len() == ops => Some(trace),
-            _ => {
-                // Corrupt, stale, or colliding entry: drop it so the next
-                // write heals the cache.
-                let _ = fs::remove_file(&path);
-                None
-            }
-        }
-    }
-
-    /// Serializes `trace` under its key via write-to-temporary plus atomic
-    /// rename.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors (callers treat a failed save as a
-    /// cache bypass, never as a run failure).
-    pub fn save(&self, trace: &Trace, seed: u64, fp: u64) -> io::Result<PathBuf> {
-        fs::create_dir_all(&self.dir)?;
-        let path = self.path_for(trace.name(), trace.len(), seed, fp);
-        let tmp = self.dir.join(format!(
-            ".{}.{}.{}.tmp",
-            path.file_name().unwrap_or_default().to_string_lossy(),
-            std::process::id(),
-            TMP_COUNTER.fetch_add(1, Ordering::Relaxed)
-        ));
-        fs::write(&tmp, encode_trace(trace))?;
-        match fs::rename(&tmp, &path) {
-            Ok(()) => Ok(path),
-            Err(e) => {
-                let _ = fs::remove_file(&tmp);
-                Err(e)
-            }
-        }
-    }
-
-    /// The store-backed generation entry point: cache hit, or generate with
-    /// the default (batched) generator and populate the cache.
-    #[must_use]
-    pub fn load_or_generate(&self, profile: &WorkloadProfile, ops: usize, seed: u64) -> Trace {
-        self.load_or_generate_with(GeneratorKind::Batched, profile, ops, seed)
-    }
-
-    /// [`TraceStore::load_or_generate`] with an explicit generator kind for
-    /// the miss path (both kinds produce identical traces, so the cache key
-    /// does not include the kind — it does include the profile fingerprint,
-    /// so profile or generator changes invalidate stale entries).
-    #[must_use]
-    pub fn load_or_generate_with(
-        &self,
-        kind: GeneratorKind,
-        profile: &WorkloadProfile,
-        ops: usize,
-        seed: u64,
-    ) -> Trace {
-        let fp = profile.fingerprint();
-        if let Some(trace) = self.load(profile.name, ops, seed, fp) {
-            return trace;
-        }
-        let trace = generate_with(kind, profile, ops, seed);
-        let _ = self.save(&trace, seed, fp);
-        trace
-    }
-}
-
-/// [`crate::generate`] behind the process-default trace store: reads and
-/// populates the cache unless [`TRACE_CACHE_ENV`] disables it.
-#[must_use]
-pub fn cached_generate(profile: &WorkloadProfile, ops: usize, seed: u64) -> Trace {
-    match TraceStore::from_env() {
-        Some(store) => store.load_or_generate(profile, ops, seed),
-        None => crate::generate(profile, ops, seed),
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generate;
     use crate::profiles::spec2017_profiles;
-
-    fn temp_store(tag: &str) -> TraceStore {
-        let dir =
-            std::env::temp_dir().join(format!("sb-trace-store-test-{}-{tag}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        TraceStore::new(dir)
-    }
-
-    fn cleanup(store: &TraceStore) {
-        let _ = fs::remove_dir_all(store.dir());
-    }
-
-    #[test]
-    fn miss_generates_and_populates() {
-        let store = temp_store("miss");
-        let p = spec2017_profiles()[1]; // 502.gcc
-        assert!(store.load(p.name, 500, 9, p.fingerprint()).is_none());
-        let cold = store.load_or_generate(&p, 500, 9);
-        assert_eq!(cold, generate(&p, 500, 9));
-        let warm = store
-            .load(p.name, 500, 9, p.fingerprint())
-            .expect("populated");
-        assert_eq!(cold, warm);
-        cleanup(&store);
-    }
 
     #[test]
     fn keys_are_disjoint_per_name_ops_seed_and_fingerprint() {
-        let store = temp_store("keys");
+        let store = TraceStore::new("/tmp/sb-trace-store-keys");
         let p = spec2017_profiles();
         let fp = p[0].fingerprint();
         let a = store.path_for(p[0].name, 100, 1, fp);
@@ -274,14 +94,14 @@ mod tests {
         assert!(a
             .to_string_lossy()
             .contains(&format!("-v{TRACE_FORMAT_VERSION}.sbtrace")));
-        cleanup(&store);
+        assert!(a.starts_with(store.dir()));
     }
 
     #[test]
     fn profile_changes_change_the_fingerprint() {
-        // A recalibrated profile must key to a different cache file, so a
-        // persisted cache (CI restores target/trace-cache across commits)
-        // can never serve traces generated from old parameters.
+        // A recalibrated profile must key to a different entry, so a
+        // persisted stats store can never serve results simulated from
+        // old parameters.
         let mut p = spec2017_profiles()[0];
         let before = p.fingerprint();
         p.load_frac += 0.01;
@@ -293,111 +113,13 @@ mod tests {
 
     #[test]
     fn sanitized_name_collisions_stay_disjoint() {
-        let store = temp_store("sanitize");
         // Distinct raw names with identical sanitized forms must not share
-        // a cache file.
-        let a = store.path_for("spectre v1", 100, 1, 0);
-        let b = store.path_for("spectre_v1", 100, 1, 0);
-        let c = store.path_for("spectre:v1", 100, 1, 0);
+        // a file.
+        let a = cache_entry_stem("spectre v1", 100, 1, 0);
+        let b = cache_entry_stem("spectre_v1", 100, 1, 0);
+        let c = cache_entry_stem("spectre:v1", 100, 1, 0);
         assert_ne!(a, b);
         assert_ne!(a, c);
-        cleanup(&store);
-    }
-
-    #[test]
-    fn corrupt_entry_is_dropped_and_healed() {
-        let store = temp_store("corrupt");
-        let p = spec2017_profiles()[3]; // 505.mcf
-        let fp = p.fingerprint();
-        let fresh = store.load_or_generate(&p, 400, 77);
-        let path = store.path_for(p.name, 400, 77, fp);
-        let mut bytes = fs::read(&path).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0x10;
-        fs::write(&path, &bytes).unwrap();
-        // The corrupt entry must read as a miss (and be removed)...
-        assert!(store.load(p.name, 400, 77, fp).is_none());
-        assert!(!path.exists());
-        // ...and the regeneration path must heal it with identical data.
-        let healed = store.load_or_generate(&p, 400, 77);
-        assert_eq!(fresh, healed);
-        assert!(store.load(p.name, 400, 77, fp).is_some());
-        cleanup(&store);
-    }
-
-    #[test]
-    fn key_collision_on_other_workload_is_a_miss() {
-        let store = temp_store("collision");
-        let profiles = spec2017_profiles();
-        let (a, b) = (profiles[0], profiles[1]);
-        let trace = generate(&a, 300, 5);
-        // Write a's trace under b's key: name validation must reject it.
-        let path = store.path_for(b.name, 300, 5, b.fingerprint());
-        fs::create_dir_all(store.dir()).unwrap();
-        fs::write(&path, sb_isa::encode_trace(&trace)).unwrap();
-        assert!(store.load(b.name, 300, 5, b.fingerprint()).is_none());
-        cleanup(&store);
-    }
-
-    #[test]
-    fn from_env_disable_redirect_and_empty_semantics() {
-        // One test covers every TRACE_CACHE_ENV shape, sequentially:
-        // process-global env mutation must not race across #[test] fns.
-        let saved = std::env::var(TRACE_CACHE_ENV).ok();
-
-        // Unset: the default directory.
-        std::env::remove_var(TRACE_CACHE_ENV);
-        let unset = TraceStore::from_env().expect("unset means default dir");
-        assert_eq!(unset.dir(), TraceStore::default_dir());
-
-        // The documented disable spellings, with incidental whitespace
-        // (shell wrappers readily produce trailing newlines).
-        for off in ["0", "off", "OFF", "Off", " 0", "0\n", " off "] {
-            std::env::set_var(TRACE_CACHE_ENV, off);
-            assert!(
-                TraceStore::from_env().is_none(),
-                "{off:?} must disable the store"
-            );
-        }
-
-        // A path redirects.
-        std::env::set_var(TRACE_CACHE_ENV, "/tmp/sb-redirected-cache");
-        let redirected = TraceStore::from_env().expect("path redirects");
-        assert_eq!(redirected.dir(), Path::new("/tmp/sb-redirected-cache"));
-
-        // Regression: set-but-empty (and whitespace-only) is the default
-        // directory. The old code lumped empty in with the disable
-        // spellings (silently turning caching off); a naive fix treating
-        // any set value as a redirect would instead root the store at ""
-        // and scatter cache files cwd-relative. Both wrong shapes are
-        // pinned here.
-        for empty in ["", "  "] {
-            std::env::set_var(TRACE_CACHE_ENV, empty);
-            let store = TraceStore::from_env()
-                .unwrap_or_else(|| panic!("{empty:?} must not disable the store"));
-            assert_eq!(
-                store.dir(),
-                TraceStore::default_dir(),
-                "{empty:?} must mean the default dir, not a {:?}-rooted store",
-                empty
-            );
-            assert_ne!(store.dir(), Path::new(""));
-        }
-
-        match saved {
-            Some(v) => std::env::set_var(TRACE_CACHE_ENV, v),
-            None => std::env::remove_var(TRACE_CACHE_ENV),
-        }
-    }
-
-    #[test]
-    fn reference_and_batched_miss_paths_cache_identically() {
-        let store = temp_store("kinds");
-        let p = spec2017_profiles()[7]; // 511.povray
-        let via_ref = store.load_or_generate_with(GeneratorKind::Reference, &p, 600, 2);
-        // Second call hits the cache written by the reference path.
-        let via_batched = store.load_or_generate_with(GeneratorKind::Batched, &p, 600, 2);
-        assert_eq!(via_ref, via_batched);
-        cleanup(&store);
+        assert_eq!(b, "spectre_v1-100-0000000000000001-0000000000000000");
     }
 }

@@ -1,15 +1,14 @@
 //! Golden differential suite for trace production: the batched generator
 //! must emit *byte-identical* traces to the reference per-op RNG walk for
-//! every profile, length and seed, and the serialization path (codec +
-//! persistent store) must round-trip traces — including the attack kernels'
-//! wrong-path blocks — without altering a single op. This is the same
+//! every profile, length and seed, and the SBTR codec must round-trip
+//! traces — including the attack kernels' wrong-path blocks — without
+//! altering a single op. This is the same
 //! oracle pattern that de-risked the event-wheel scheduler in PR 1: the
 //! seed implementation stays alive as the reference, and equality is
 //! asserted over the full structure, not summaries.
 
 use sb_workloads::{
     generate, generate_with, spec2017_profiles, spectre_v1_kernel, ssb_kernel, GeneratorKind,
-    TraceStore,
 };
 
 /// Batched == reference over the full SPEC2017 profile set, across several
@@ -53,46 +52,15 @@ fn generated_traces_round_trip_through_codec() {
 }
 
 /// The attack kernels carry wrong-path blocks (the transient micro-ops);
-/// the codec and the store must preserve them exactly — a dropped or
-/// reordered wrong-path op would silently defang the security experiments.
+/// the codec must preserve them exactly — a dropped or reordered
+/// wrong-path op would silently defang the security experiments.
 #[test]
 fn attack_kernels_round_trip_with_wrong_paths() {
-    let dir = std::env::temp_dir().join(format!("sb-golden-kernels-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let store = TraceStore::new(&dir);
     for secret in [0usize, 7, 15] {
         for kernel in [spectre_v1_kernel(secret), ssb_kernel(secret)] {
             let decoded =
                 sb_isa::decode_trace(&sb_isa::encode_trace(&kernel.trace)).expect("decodes");
             assert_eq!(kernel.trace, decoded, "codec broke {}", kernel.trace.name());
-
-            // Kernel content is fixed by the build, so the content
-            // fingerprint slot is 0 by convention.
-            let path = store.save(&kernel.trace, secret as u64, 0).expect("saves");
-            assert!(path.exists());
-            let loaded = store
-                .load(kernel.trace.name(), kernel.trace.len(), secret as u64, 0)
-                .expect("loads");
-            assert_eq!(kernel.trace, loaded, "store broke {}", kernel.trace.name());
         }
     }
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// Store-loaded traces equal freshly generated ones for every profile —
-/// the byte-identical-instruction-stream guarantee the paper's methodology
-/// needs, across the serialize/deserialize boundary.
-#[test]
-fn store_round_trip_equals_fresh_generation_across_suite() {
-    let dir = std::env::temp_dir().join(format!("sb-golden-store-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let store = TraceStore::new(&dir);
-    for profile in spec2017_profiles() {
-        let fresh = generate(&profile, 800, 99);
-        let cold = store.load_or_generate(&profile, 800, 99);
-        let warm = store.load_or_generate(&profile, 800, 99);
-        assert_eq!(fresh, cold, "{} cold", profile.name);
-        assert_eq!(fresh, warm, "{} warm", profile.name);
-    }
-    let _ = std::fs::remove_dir_all(&dir);
 }

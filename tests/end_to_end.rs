@@ -6,7 +6,7 @@ use shadowbinding::core::Scheme;
 use shadowbinding::stats::{suite_ipc, BenchResult, SuiteSummary};
 use shadowbinding::timing::relative_timing;
 use shadowbinding::uarch::{Core, CoreConfig};
-use shadowbinding::workloads::{generate, spec2017_profiles, TraceStore};
+use shadowbinding::workloads::{generate, spec2017_profiles};
 
 const OPS: usize = 6_000;
 const SEED: u64 = 1234;
@@ -42,39 +42,6 @@ fn full_grid_commits_exactly() {
             }
         }
     }
-}
-
-/// Caching regression: running the same grid point twice with the trace
-/// store enabled — a cold pass that generates and serializes, then a warm
-/// pass that deserializes — must produce *identical* `SimStats` for every
-/// scheme. The persistent cache can make runs faster but never different.
-#[test]
-fn warm_trace_cache_reproduces_cold_stats() {
-    let dir = std::env::temp_dir().join(format!("sb-e2e-trace-cache-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let store = TraceStore::new(&dir);
-    let p = *spec2017_profiles()
-        .iter()
-        .find(|p| p.name == "502.gcc")
-        .unwrap();
-    for config in [CoreConfig::small(), CoreConfig::mega()] {
-        for scheme in Scheme::all() {
-            let run = || {
-                let trace = store.load_or_generate(&p, 4_000, SEED);
-                let mut core = Core::with_scheme(config.clone(), scheme, trace);
-                core.run_to_completion(100_000_000).clone()
-            };
-            let cold = run();
-            let warm = run();
-            assert_eq!(
-                cold, warm,
-                "cached trace changed SimStats on {} under {scheme}",
-                config.name
-            );
-            assert_eq!(cold.committed.get(), 4_000);
-        }
-    }
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Baseline IPC increases monotonically from Small to Mega (Table 1's
